@@ -111,7 +111,7 @@ void BM_SingleTupleUpdate_TC(benchmark::State& state) {
     inserting = !inserting;
   }
   state.counters["extent_maintained"] = benchmark::Counter(
-      static_cast<double>(session->extent_cache().maintained()));
+      static_cast<double>(session->cache().maintained()));
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
@@ -138,7 +138,7 @@ void BM_SingleTupleUpdateServe_TC(benchmark::State& state) {
     inserting = !inserting;
   }
   state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(session->extent_cache().hits()));
+      benchmark::Counter(static_cast<double>(session->cache().hits()));
 }
 
 /// Batched: 8 edges from kFresh into the chain interior per transaction
@@ -163,7 +163,7 @@ void BM_BatchedUpdate_TC(benchmark::State& state) {
     inserting = !inserting;
   }
   state.counters["extent_maintained"] = benchmark::Counter(
-      static_cast<double>(session->extent_cache().maintained()));
+      static_cast<double>(session->cache().maintained()));
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
@@ -189,7 +189,7 @@ void BM_MidChainDeleteDRed_TC(benchmark::State& state) {
     deleting = !deleting;
   }
   state.counters["delta_deletes"] = benchmark::Counter(static_cast<double>(
-      session->extent_cache().maintain_stats().delta_deletes));
+      session->cache().maintain_stats().delta_deletes));
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
@@ -230,7 +230,7 @@ void BM_CachedConeQuery(benchmark::State& state) {
     inserting = !inserting;
   }
   state.counters["cone_maintained"] = benchmark::Counter(
-      static_cast<double>(session->demand_cache().maintained()));
+      static_cast<double>(session->cache().maintained()));
 }
 
 BENCHMARK(BM_ColdRecompute_TC)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);

@@ -37,17 +37,6 @@ std::string ViolationDetail(const Relation& violations) {
 /// many commits behind fall back to dropping their caches on re-pin.
 constexpr size_t kRecentDeltaWindow = 8;
 
-/// EvalOptions for incremental cache maintenance, mirroring the lowering
-/// path's mapping (LoweredEvalOptions in interp.cc): same thread count and
-/// seed so maintained extents are byte-identical to recomputation.
-datalog::EvalOptions MaintainEvalOptions(const InterpOptions& options) {
-  datalog::EvalOptions eval_options;
-  eval_options.num_threads = options.num_threads;
-  eval_options.max_iterations = std::max(options.max_iterations, 1);
-  eval_options.plan_order_seed = options.plan_order_seed;
-  return eval_options;
-}
-
 /// insert/delete control tuples are (:RName, v1, ..., vk).
 bool SplitControlTuple(const Tuple& t, std::string* name, Tuple* payload) {
   if (t.arity() == 0) return false;
@@ -212,13 +201,12 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   std::vector<std::shared_ptr<Def>> combined = *rules_;
   for (auto& def : ParseToSharedDefs(source)) combined.push_back(std::move(def));
 
-  // Writer-side Interps never use the session's demand cache: an aborted
-  // transaction's working database versions can be re-issued by a later
-  // commit with different content, so only published snapshot versions may
-  // become cache keys (see core/demand_cache.h). The writer's own extent
-  // cache is safe because RollbackToHead() drops every above-head entry.
+  // Writer-side Interps use the writer's own extent cache, never a
+  // session's: an aborted transaction's working database versions can be
+  // re-issued by a later commit with different content, and only the
+  // writer cache is rolled back with them (RollbackToHead() drops every
+  // above-head entry).
   InterpOptions writer_opts = opts;
-  writer_opts.demand_cache = nullptr;
   writer_opts.shared_defs = rules_->size();
   writer_opts.extent_cache = &writer_cache_;
   writer_opts.shared_analysis = rules_analysis_.get();
@@ -293,7 +281,7 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   // commit instead of recomputing them — the post-state constraint check
   // (and every later transaction) resumes semi-naive evaluation from the
   // delta (insert) or runs DRed (delete); see core/extent_cache.h.
-  writer_cache_.Maintain(*delta, MaintainEvalOptions(writer_opts));
+  writer_cache_.Maintain(*delta, LoweredEvalOptions(writer_opts));
 
   // The effective net change, for Decker-style constraint specialization:
   // only constraints whose transitive read set intersects these relations
@@ -329,7 +317,7 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   if (result.txn_id != 0) last_txn_id_ = result.txn_id;
 
   // Publish the commit's delta alongside the snapshot so sessions can
-  // maintain their demand/extent caches on re-pin instead of dropping them.
+  // maintain their extent caches on re-pin instead of dropping them.
   if (delta->to_version != delta->from_version || !delta->empty()) {
     recent_deltas_.push_back(std::move(delta));
     while (recent_deltas_.size() > kRecentDeltaWindow) {
@@ -377,7 +365,7 @@ void Engine::ApplyBulk(const std::string& name,
     }
   }
   delta->to_version = db_.version();
-  writer_cache_.Maintain(*delta, MaintainEvalOptions(options_));
+  writer_cache_.Maintain(*delta, LoweredEvalOptions(options_));
   if (delta->to_version != delta->from_version || !delta->empty()) {
     recent_deltas_.push_back(std::move(delta));
     while (recent_deltas_.size() > kRecentDeltaWindow) {
@@ -396,7 +384,6 @@ void Engine::ApplyBulk(const std::string& name,
 void Engine::CheckConstraints() {
   std::shared_ptr<const Snapshot> snap = SnapshotNow();
   InterpOptions opts = options_;
-  opts.demand_cache = nullptr;
   opts.extent_cache = nullptr;
   opts.shared_defs = 0;
   opts.shared_analysis = nullptr;

@@ -189,14 +189,15 @@ class Engine {
 
   /// The writer-side extent cache: lowered-component fixpoints maintained
   /// across the commit pipeline's pre-state and post-state evaluations.
-  const ExtentCache& writer_extent_cache() const { return writer_cache_; }
+  const ExtentCache& writer_cache() const { return writer_cache_; }
 
  private:
   friend class Session;
 
   /// The commit pipeline (see header comment). `opts` is the calling
-  /// session's option set (its demand cache is NOT used — writer-side
-  /// Interps run uncached so aborted working versions never become keys).
+  /// session's option set (its extent cache is NOT used — writer-side
+  /// Interps use writer_cache_, which rolls back with aborted working
+  /// versions).
   /// On success `*published` is the newly-published (or, for a no-op
   /// transaction, current) head.
   TxnResult ExecTxn(const std::string& source, const InterpOptions& opts,
@@ -266,11 +267,11 @@ class Engine {
   /// so rules and integrity constraints recover with the data.
   std::vector<std::string> model_sources_;
 
-  /// Writer-side extent cache, keyed by working-database versions. Abort
-  /// safety: Maintain() re-keys every surviving entry to the transaction's
-  /// post-version, so RollbackToHead()'s DropAbove(head version) discards
-  /// exactly the aborted transaction's entries while the pre-state's
-  /// survive (see core/extent_cache.h).
+  /// Writer-side extent cache, stamped with working-database versions.
+  /// Abort safety: Maintain() re-stamps every surviving entry to the
+  /// transaction's post-version, so RollbackToHead()'s DropAbove(head
+  /// version) discards exactly the aborted transaction's entries while the
+  /// pre-state's survive (see core/extent_cache.h).
   ExtentCache writer_cache_;
   /// Bumped whenever db_ is replaced wholesale (AttachStorage recovery):
   /// deltas from different epochs must never be composed.

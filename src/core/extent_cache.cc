@@ -1,6 +1,9 @@
 #include "core/extent_cache.h"
 
+#include <iterator>
 #include <utility>
+
+#include "datalog/magic.h"
 
 namespace rel {
 
@@ -58,7 +61,7 @@ std::string ExtentCache::KeyFor(const std::vector<std::string>& members) {
   return key;
 }
 
-const ExtentCache::Entry* ExtentCache::Lookup(const std::string& key,
+const ExtentCache::Entry* ExtentCache::Lookup(const Key& key,
                                               uint64_t db_version) {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second->db_version != db_version) {
@@ -69,7 +72,7 @@ const ExtentCache::Entry* ExtentCache::Lookup(const std::string& key,
   return it->second.get();
 }
 
-ExtentCache::Entry& ExtentCache::Store(std::string key, Entry entry) {
+ExtentCache::Entry& ExtentCache::Store(Key key, Entry entry) {
   std::unique_ptr<Entry>& slot = entries_[std::move(key)];
   slot = std::make_unique<Entry>(std::move(entry));
   return *slot;
@@ -80,37 +83,36 @@ void ExtentCache::Maintain(const DatabaseDelta& delta,
   for (auto it = entries_.begin(); it != entries_.end();) {
     Entry& entry = *it->second;
     if (entry.db_version != delta.from_version) {
-      ++dropped_;
-      it = entries_.erase(it);
+      it = Drop(it);
       continue;
     }
     switch (MaintainExtents(&entry.ext, delta, opts, &maintain_stats_)) {
       case MaintainResult::kUntouched:
         ++restamped_;
-        entry.db_version = delta.to_version;
-        ++it;
         break;
       case MaintainResult::kMaintained:
         ++maintained_;
-        entry.db_version = delta.to_version;
-        ++it;
+        if (!entry.goal_pred.empty()) {
+          // The cone is a pure function of the maintained extents.
+          auto goal = entry.ext.extents.find(entry.goal_pred);
+          entry.cone = goal == entry.ext.extents.end()
+                           ? Relation()
+                           : datalog::FilterByPattern(goal->second,
+                                                      entry.pattern);
+        }
         break;
       case MaintainResult::kUnsupported:
-        ++dropped_;
-        it = entries_.erase(it);
-        break;
+        it = Drop(it);
+        continue;
     }
+    entry.db_version = delta.to_version;
+    ++it;
   }
 }
 
 void ExtentCache::DropAbove(uint64_t db_version) {
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second->db_version > db_version) {
-      ++dropped_;
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
+    it = it->second->db_version > db_version ? Drop(it) : std::next(it);
   }
 }
 
@@ -123,12 +125,7 @@ void ExtentCache::ClearAffected(const std::set<std::string>& names) {
         break;
       }
     }
-    if (affected) {
-      ++dropped_;
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
+    it = affected ? Drop(it) : std::next(it);
   }
 }
 

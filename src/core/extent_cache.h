@@ -1,12 +1,11 @@
-// ExtentCache: derived state that survives updates (the incremental-
-// maintenance tentpole).
+// ExtentCache: the one cache of derived state that survives transactions
+// and updates.
 //
-// PR 5's recursion lowering evaluates a qualifying Rel component on the
-// planned Datalog engine, but the fixpoint died with the transaction's
-// Interp: every transaction recomputed the closure from scratch even when
-// the database had not changed — or had changed by one tuple. This cache
-// hoists the lowered fixpoint out of the transaction and, where possible,
-// *maintains* it under base-relation deltas instead of recomputing:
+// A lowered recursive component's fixpoint, and a demanded cone of one
+// (the magic-set rewrite answering tc(0, Y)), used to die with the
+// transaction's Interp. This cache hoists both out of the transaction and,
+// where possible, *maintains* them under base-relation deltas instead of
+// recomputing:
 //
 //   * insert → resume semi-naive evaluation with the inserted tuples as the
 //     delta against the cached fixpoint (datalog::EvaluateDelta);
@@ -15,16 +14,40 @@
 //   * unsupported shapes (negation over an affected predicate, wholesale
 //     Put/Drop) → the entry is dropped and the next transaction recomputes.
 //
-// Ownership mirrors core/demand_cache.h: one cache per owner (the Engine's
-// writer side, or a Session), externally synchronized, never shared. An
-// entry is keyed by its component (sorted member list) and stamped with the
-// Database::version() it is valid for; owners maintain entries forward
-// along the commit pipeline's DatabaseDelta chain (engine writer: inside
-// ExecTxn/ApplyBulk; sessions: Snapshot::recent_deltas on Adopt) and must
-// Clear()/ClearAffected() on rule-set changes and DropAbove() on rollback
-// (maintenance mutates entries in place, so an aborted transaction's
-// working versions cannot be restored — only discarded; version counters
-// alias across rollback, exactly like the demand-cache hazard).
+// Entries. An entry is keyed by (component, binding pattern): a whole
+// component by its sorted member list and an empty pattern, a demanded cone
+// by its instance "name/arity" and bound (position, value) pairs alone (the
+// instance names the component already). Every entry
+// carries a MaintainableExtents payload and the Database::version() it is
+// valid for. A component entry's payload is the component fixpoint; a
+// cone entry's payload is the full fixpoint of the magic-transformed
+// program (its magic seed facts never change under base-relation deltas,
+// so the transformed program's EDB delta IS the database delta), and the
+// cone itself is the goal extent filtered by the pattern, re-filtered
+// whenever maintenance changes the payload.
+//
+// Ownership. One cache per owner, externally synchronized, never shared:
+// each Session owns one, and the Engine's writer side owns one. Only the
+// owner mutates the cache, and only between transactions.
+//
+// Invalidation. The version stamp is the whole validity claim: an entry
+// answers a lookup only at exactly its stamped version, and the owner must
+// keep every stamp on the timeline of the database it will query next:
+//   * commits — Maintain() once per DatabaseDelta, in order (engine writer:
+//     inside ExecTxn/ApplyBulk; sessions: Snapshot::recent_deltas on
+//     Adopt). Entries not at delta.from_version are dropped;
+//   * rule-set changes — ClearAffected() with the new names when the
+//     change is a pure extension (an entry whose closure cannot read a new
+//     name survives), Clear() otherwise;
+//   * rollback — DropAbove(head version): maintenance mutates entries in
+//     place, so an aborted transaction's working versions cannot be
+//     restored, only discarded — and a later commit re-issues those
+//     version numbers with different content;
+//   * any re-pin the owner cannot walk delta by delta — the pin scrolled
+//     out of the published window, or AttachStorage replaced the database
+//     wholesale — Clear(). Version numbers are not unique across database
+//     timelines (a recovered database can sit at the very version number
+//     the old pin had), so no entry can be kept on its stamp alone.
 //
 // The correctness bar: maintained extents are byte-identical to the
 // from-scratch fixpoint at the new version (pinned by tests/core/
@@ -37,12 +60,16 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "data/database.h"
 #include "data/relation.h"
+#include "data/value.h"
 #include "datalog/eval.h"
 #include "datalog/index.h"
 #include "datalog/program.h"
@@ -50,8 +77,7 @@
 namespace rel {
 
 /// A cached Datalog fixpoint plus everything needed to move it forward
-/// under a DatabaseDelta. Shared between the component cache below and the
-/// demand-cone payloads in core/demand_cache.h.
+/// under a DatabaseDelta.
 struct MaintainableExtents {
   /// The program whose fixpoint `extents` is (rules are what matter;
   /// program.facts() is the EDB at the version the entry was built at and
@@ -102,43 +128,61 @@ MaintainResult MaintainExtents(MaintainableExtents* e,
                                const datalog::EvalOptions& opts,
                                datalog::EvalStats* stats);
 
-/// Per-owner cache of lowered-component fixpoints, keyed by component
-/// identity (sorted member list) and stamped with a database version.
-/// Externally synchronized; see the header comment for the ownership and
-/// invalidation contract.
+/// Per-owner cache of lowered-component fixpoints and demanded cones; see
+/// the header comment for the key, ownership and invalidation contract.
 class ExtentCache {
  public:
+  struct Key {
+    /// KeyFor(the component's sorted members) for a whole component; empty
+    /// for a demanded cone.
+    std::string component;
+    /// Empty for a whole component. For a demanded cone: "name/arity", so
+    /// tc(0, Y) and tc(0, Y, Z) never share an entry.
+    std::string instance;
+    /// A cone's bound positions and their values, ascending by position.
+    std::vector<std::pair<size_t, Value>> bound;
+
+    bool operator<(const Key& other) const {
+      return std::tie(component, instance, bound) <
+             std::tie(other.component, other.instance, other.bound);
+    }
+  };
+
   struct Entry {
     uint64_t db_version = 0;
     MaintainableExtents ext;
+    /// Cone entries only (goal_pred is empty for a component entry): the
+    /// cone is FilterByPattern(ext.extents[goal_pred], pattern).
+    std::string goal_pred;
+    std::vector<std::optional<Value>> pattern;
+    Relation cone;
   };
 
-  /// The key for the component whose sorted members are `members`.
+  /// The component key for sorted members `members`.
   static std::string KeyFor(const std::vector<std::string>& members);
 
   /// The entry for `key` valid at exactly `db_version`, or nullptr. Counts
   /// a hit or a miss.
-  const Entry* Lookup(const std::string& key, uint64_t db_version);
+  const Entry* Lookup(const Key& key, uint64_t db_version);
 
   /// Stores (replacing any previous entry for `key`); the returned
-  /// reference is stable until the entry is dropped.
-  Entry& Store(std::string key, Entry entry);
+  /// reference — a cone entry's `cone` included — stays valid until the
+  /// entry is dropped, and its content changes only under Maintain().
+  Entry& Store(Key key, Entry entry);
 
   /// Moves every entry at delta.from_version to delta.to_version —
-  /// incrementally where the delta is relevant, by re-stamping where it is
-  /// not — and drops entries that cannot follow (stale version, wholesale
-  /// delta, unmaintainable shape). `opts` configures the incremental
-  /// evaluation (threads, iteration cap, plan seed).
+  /// incrementally where the delta is relevant (re-filtering a maintained
+  /// cone), by re-stamping where it is not — and drops entries that cannot
+  /// follow (stale version, wholesale delta, unmaintainable shape). `opts`
+  /// configures the incremental evaluation (LoweredEvalOptions).
   void Maintain(const DatabaseDelta& delta, const datalog::EvalOptions& opts);
 
   /// Drops every entry stamped with a version greater than `db_version` —
-  /// the rollback hook: an aborted transaction's working versions alias
-  /// future commits and must not survive as keys.
+  /// the rollback hook.
   void DropAbove(uint64_t db_version);
 
-  /// Drops every entry whose closure intersects `names` (rule-set changes:
-  /// a new def for a name only invalidates the components that can read
-  /// it).
+  /// Drops every entry whose closure intersects `names` (rule extensions:
+  /// a new def for a name only invalidates the entries that can read it).
   void ClearAffected(const std::set<std::string>& names);
 
   void Clear() { entries_.clear(); }
@@ -154,9 +198,17 @@ class ExtentCache {
   const datalog::EvalStats& maintain_stats() const { return maintain_stats_; }
 
  private:
+  using Map = std::map<Key, std::unique_ptr<Entry>>;
+
+  /// Erases `it`, counting the drop; returns the next position.
+  Map::iterator Drop(Map::iterator it) {
+    ++dropped_;
+    return entries_.erase(it);
+  }
+
   /// unique_ptr: entries hold an IndexCache whose indexes point into the
   /// entry's own extents — neither may move after Store.
-  std::map<std::string, std::unique_ptr<Entry>> entries_;
+  Map entries_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t maintained_ = 0;

@@ -112,10 +112,6 @@ Interp::Interp(const Database* db, std::vector<std::shared_ptr<Def>> defs,
   }
 }
 
-bool Interp::DemandCacheable(const std::string& name) {
-  return options_.demand_cache != nullptr && SharedRulesOnly(name);
-}
-
 bool Interp::SharedRulesOnly(const std::string& name) {
   auto memo = shared_rules_only_.find(name);
   if (memo != shared_rules_only_.end()) return memo->second;
@@ -366,14 +362,9 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   return inst.value;
 }
 
-namespace {
-
-/// The Datalog options every lowered evaluation — the full-component splice
-/// (TryLowerComponent) and the demanded cone (EvalInstanceDemand) — runs
-/// under, so the two paths can never diverge. InterpOptions treats any cap
-/// as strict (0 still allows one iteration), while 0 means unbounded to the
-/// Datalog engine — clamp to at least 1 so a zero cap can never turn into
-/// an infinite lowered fixpoint.
+// InterpOptions treats any cap as strict (0 still allows one iteration),
+// while 0 means unbounded to the Datalog engine — clamp to at least 1 so a
+// zero cap can never turn into an infinite lowered fixpoint.
 datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options) {
   datalog::EvalOptions eval_options;
   eval_options.strategy = datalog::Strategy::kSemiNaive;
@@ -382,8 +373,6 @@ datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options) {
   eval_options.plan_order_seed = options.plan_order_seed;
   return eval_options;
 }
-
-}  // namespace
 
 std::optional<LoweredComponent> Interp::BuildLoweredProgram(
     const std::string& name) {
@@ -456,9 +445,9 @@ bool Interp::TryLowerComponent(const std::string& name) {
   // version — splice copies and skip the evaluator entirely.
   const bool cacheable =
       options_.extent_cache != nullptr && SharedRulesOnly(name);
-  std::string cache_key;
+  ExtentCache::Key cache_key;
   if (cacheable) {
-    cache_key = ExtentCache::KeyFor(analysis_.ComponentMembers(name));
+    cache_key.component = ExtentCache::KeyFor(analysis_.ComponentMembers(name));
     if (const ExtentCache::Entry* hit =
             options_.extent_cache->Lookup(cache_key, db_->version())) {
       for (const std::string& member : analysis_.ComponentMembers(name)) {
@@ -542,18 +531,20 @@ const Relation& Interp::EvalInstanceDemand(
   auto memo = demand_memo_.find(key);
   if (memo != demand_memo_.end()) return memo->second;
 
-  // Session-shared cache: a cone already derived by an earlier transaction
-  // against this same database version (and the same shared rules — see
-  // DemandCacheable) is returned without touching the evaluator. The
-  // reference is stable for the cache's lifetime, which outlives this
-  // Interp.
-  const bool cacheable = DemandCacheable(name);
-  DemandCache::Key cache_key;
+  // Cross-transaction cache: a cone already derived by an earlier
+  // transaction against this same database version (and the same shared
+  // rules — see SharedRulesOnly) is returned without touching the
+  // evaluator. The reference stays valid for this Interp's lifetime: only
+  // the cache's owner mutates it, between transactions.
+  const bool cacheable =
+      options_.extent_cache != nullptr && SharedRulesOnly(name);
+  ExtentCache::Key cache_key;
   if (cacheable) {
-    cache_key = DemandCache::Key{db_->version(), key.first, key.second};
-    if (const Relation* hit = options_.demand_cache->Lookup(cache_key)) {
+    cache_key = ExtentCache::Key{{}, key.first, key.second};
+    if (const ExtentCache::Entry* hit =
+            options_.extent_cache->Lookup(cache_key, db_->version())) {
       ++lowering_stats_.demand_cache_hits;
-      return *hit;
+      return hit->cone;
     }
   }
 
@@ -576,59 +567,46 @@ const Relation& Interp::EvalInstanceDemand(
       DemandGoalFor(*dc.lowered, name, pattern);
   if (!goal) return EvalInstance(name, 0, {});
 
-  if (cacheable) {
-    // Cacheable cones run the magic transform explicitly and keep the
-    // transformed program's FULL fixpoint as the entry's maintenance
-    // payload: on later commits the session moves it forward with
-    // datalog::EvaluateDelta (the magic seed facts never change under
-    // base-relation deltas) and re-filters the goal extent, instead of
-    // re-running the cone from scratch.
-    datalog::MagicProgram magic =
-        datalog::MagicTransform(dc.lowered->program, *goal);
-    const datalog::Program& prog =
-        magic.transformed ? magic.program : dc.lowered->program;
-    std::map<std::string, Relation> extents;
-    try {
-      extents = datalog::Evaluate(prog, LoweredEvalOptions(options_));
-    } catch (const RelError&) {
-      return EvalInstance(name, 0, {});
-    }
-    ++dc.patterns;
-    Relation cone;
-    auto it = extents.find(magic.goal_pred);
-    if (it != extents.end()) {
-      cone = datalog::FilterByPattern(it->second, goal->pattern);
-    }
-    ++lowering_stats_.components_demanded;
-    lowering_stats_.demanded_tuples += cone.size();
-    auto payload = std::make_unique<MaintainableExtents>();
-    payload->extents = std::move(extents);
-    FillMaintainInfo(*dc.lowered, name, payload.get());
-    payload->program =
-        magic.transformed ? std::move(magic.program) : dc.lowered->program;
-    return options_.demand_cache->Store(std::move(cache_key), std::move(cone),
-                                        magic.goal_pred, goal->pattern,
-                                        std::move(payload));
-  }
-
-  datalog::EvalOptions eval_options = LoweredEvalOptions(options_);
-  eval_options.demand_goal = std::move(goal);
+  // Rewrite for the goal, evaluate, and filter the goal extent by the
+  // bound constants.
+  datalog::MagicProgram magic =
+      datalog::MagicTransform(dc.lowered->program, *goal);
   std::map<std::string, Relation> extents;
   try {
-    extents = datalog::Evaluate(dc.lowered->program, eval_options);
+    extents = datalog::Evaluate(
+        magic.transformed ? magic.program : dc.lowered->program,
+        LoweredEvalOptions(options_));
   } catch (const RelError&) {
     // The tuple-at-a-time path stays the authority on errors (safety under
     // any literal order, non-convergence diagnostics naming the component).
     return EvalInstance(name, 0, {});
   }
-
   ++dc.patterns;
   Relation cone;
-  auto it = extents.find(name);
-  if (it != extents.end()) cone = std::move(it->second);
+  auto it = extents.find(magic.goal_pred);
+  if (it != extents.end()) {
+    cone = datalog::FilterByPattern(it->second, goal->pattern);
+  }
   ++lowering_stats_.components_demanded;
   lowering_stats_.demanded_tuples += cone.size();
-  return demand_memo_[key] = std::move(cone);
+  if (!cacheable) return demand_memo_[key] = std::move(cone);
+
+  // The transformed program's FULL fixpoint becomes the entry's payload:
+  // on later commits the cache's owner moves it forward with
+  // datalog::EvaluateDelta (the magic seed facts never change under
+  // base-relation deltas) and re-filters the goal extent, instead of
+  // re-running the cone from scratch.
+  ExtentCache::Entry entry;
+  entry.db_version = db_->version();
+  entry.ext.extents = std::move(extents);
+  FillMaintainInfo(*dc.lowered, name, &entry.ext);
+  entry.ext.program =
+      magic.transformed ? std::move(magic.program) : dc.lowered->program;
+  entry.goal_pred = std::move(magic.goal_pred);
+  entry.pattern = std::move(goal->pattern);
+  entry.cone = std::move(cone);
+  return options_.extent_cache->Store(std::move(cache_key), std::move(entry))
+      .cone;
 }
 
 const Relation& Interp::MaterializeSO(const SOValue& value) {

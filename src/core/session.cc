@@ -1,6 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -10,17 +9,6 @@
 namespace rel {
 
 namespace {
-
-/// Mirrors the lowering path's InterpOptions → EvalOptions mapping (see
-/// LoweredEvalOptions in interp.cc and MaintainEvalOptions in engine.cc) so
-/// maintained extents are byte-identical to recomputation.
-datalog::EvalOptions MaintainEvalOptions(const InterpOptions& options) {
-  datalog::EvalOptions eval_options;
-  eval_options.num_threads = options.num_threads;
-  eval_options.max_iterations = std::max(options.max_iterations, 1);
-  eval_options.plan_order_seed = options.plan_order_seed;
-  return eval_options;
-}
 
 /// True when `next` is a pure extension of `prev` (same shared defs, in
 /// order, plus appended ones); fills `added` with the appended names.
@@ -57,46 +45,32 @@ void Session::Adopt(std::shared_ptr<const Snapshot> snap) {
       // cones/extents whose closure can read one of the new names — the
       // rest were derived from relations the new rules cannot reach and
       // keep serving hits.
-      demand_cache_.ClearAffected(added);
-      extent_cache_.ClearAffected(added);
+      cache_.ClearAffected(added);
     } else {
-      demand_cache_.Clear();
-      extent_cache_.Clear();
+      cache_.Clear();
     }
   }
 
   // Database maintenance: walk the published commit-delta chain from the
-  // pinned version to the new head, moving both caches along incrementally
+  // pinned version to the new head, moving the cache along incrementally
   // (O(|delta cone|) per entry per commit). A pin that predates the chain
-  // window — or a wholesale database swap (epoch bump) — falls back to
-  // dropping.
-  if (snap->db_epoch == snap_->db_epoch && snap->version() == snap_->version()) {
-    // Same database state; every cached version key is still the pin.
-  } else {
-    bool walked = snap->db_epoch == snap_->db_epoch;
-    if (walked) {
-      const datalog::EvalOptions eval_opts = MaintainEvalOptions(options_);
-      uint64_t at = snap_->version();
-      const auto& chain = snap->recent_deltas;
-      size_t i = 0;
-      while (i < chain.size() && chain[i]->from_version != at) ++i;
-      if (i == chain.size()) walked = false;
-      for (; walked && i < chain.size() && at != snap->version(); ++i) {
-        const DatabaseDelta& delta = *chain[i];
-        if (delta.db_epoch != snap->db_epoch || delta.from_version != at) {
-          walked = false;
-          break;
-        }
-        demand_cache_.Maintain(delta, eval_opts);
-        extent_cache_.Maintain(delta, eval_opts);
-        at = delta.to_version;
+  // window — or a wholesale database swap (epoch bump), whose version
+  // numbers may alias the pin's — clears the cache.
+  if (snap->db_epoch != snap_->db_epoch) {
+    cache_.Clear();
+  } else if (snap->version() != snap_->version()) {
+    const datalog::EvalOptions eval_opts = LoweredEvalOptions(options_);
+    uint64_t at = snap_->version();
+    // The chain is contiguous and ends at the new head: skip to the delta
+    // leaving the pin, then follow it delta by delta.
+    for (const auto& delta : snap->recent_deltas) {
+      if (delta->db_epoch != snap->db_epoch || delta->from_version != at) {
+        continue;
       }
-      if (at != snap->version()) walked = false;
+      cache_.Maintain(*delta, eval_opts);
+      at = delta->to_version;
     }
-    if (!walked) {
-      extent_cache_.Clear();
-      demand_cache_.Retain(snap->version());
-    }
+    if (at != snap->version()) cache_.Clear();
   }
   snap_ = std::move(snap);
 }
@@ -110,8 +84,7 @@ Relation Session::Query(const std::string& source) {
 
   InterpOptions opts = options_;
   opts.shared_defs = snap_->rules->size();
-  opts.demand_cache = &demand_cache_;
-  opts.extent_cache = &extent_cache_;
+  opts.extent_cache = &cache_;
   opts.shared_analysis = snap_->rules_analysis.get();
   Interp interp(snap_->db.get(), std::move(combined), opts);
   Relation out;

@@ -16,7 +16,7 @@
 // committed state, not against the session's pinned snapshot.
 //
 // Threading: one Session = one client. A Session must be used from one
-// thread at a time (its demand cache and pin are unsynchronized); any
+// thread at a time (its extent cache and pin are unsynchronized); any
 // number of Sessions may run concurrently against the same Engine.
 
 #ifndef REL_CORE_SESSION_H_
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/demand_cache.h"
 #include "core/extent_cache.h"
 #include "core/interp.h"
 #include "data/database.h"
@@ -47,7 +46,7 @@ struct Snapshot {
   /// readers extend it with their query-local defs (InterpOptions::
   /// shared_analysis) instead of re-analyzing the prelude per query.
   std::shared_ptr<const ProgramAnalysis> rules_analysis;
-  /// Bumped on every Define; demand caches keyed per rule era.
+  /// Bumped on every Define; session caches are invalidated per rule era.
   uint64_t rules_version = 0;
   /// WAL id of the last durable transaction included (0 when the engine is
   /// not attached to storage or nothing has committed durably yet).
@@ -73,9 +72,8 @@ class Session {
 
   // --- snapshot control ---
 
-  /// Re-pins the newest published snapshot. Demand-cache upkeep: entries
-  /// for other database versions are dropped; a rule-set change clears the
-  /// cache entirely.
+  /// Re-pins the newest published snapshot, maintaining the extent cache
+  /// forward along the commit deltas (see Adopt).
   void Refresh();
 
   /// The pinned snapshot (stable until Refresh or a successful write).
@@ -124,12 +122,9 @@ class Session {
   /// Lowering/demand counters of this session's most recent Query/Eval/Exec.
   const LoweringStats& last_lowering_stats() const { return lowering_stats_; }
 
-  /// The session's cross-transaction demand-cone cache (hits/misses/size).
-  const DemandCache& demand_cache() const { return demand_cache_; }
-
-  /// The session's whole-extent cache for fully-derived components
-  /// (maintained across re-pins just like the demand cache).
-  const ExtentCache& extent_cache() const { return extent_cache_; }
+  /// The session's cross-transaction cache of lowered-component extents
+  /// and demanded cones, maintained across re-pins.
+  const ExtentCache& cache() const { return cache_; }
 
  private:
   friend class Engine;
@@ -137,14 +132,15 @@ class Session {
   Session(Engine* engine, std::shared_ptr<const Snapshot> snap,
           InterpOptions options);
 
-  /// Adopts a (newer) snapshot as the pin, pruning the demand cache.
+  /// Adopts a (newer) snapshot as the pin: one ExtentCache::Maintain per
+  /// commit delta from the old pin to the new one, or Clear() when that
+  /// chain cannot be walked.
   void Adopt(std::shared_ptr<const Snapshot> snap);
 
   Engine* engine_;
   std::shared_ptr<const Snapshot> snap_;
   InterpOptions options_;
-  DemandCache demand_cache_;
-  ExtentCache extent_cache_;
+  ExtentCache cache_;
   LoweringStats lowering_stats_;
 };
 

@@ -113,8 +113,10 @@ class Database {
 
   /// A monotonically increasing counter bumped on every mutation; the
   /// evaluator uses it to invalidate memoized derived relations, and the
-  /// serving layer keys cross-transaction demand caches on the version of
-  /// the published snapshot.
+  /// serving layer stamps cached derived state with the version of the
+  /// published snapshot. Unique within one database only: a database
+  /// recovered by Engine::AttachStorage restarts the count (see
+  /// core/extent_cache.h).
   uint64_t version() const { return version_; }
 
   /// Forces every relation's lazily-built sorted views (row order and the

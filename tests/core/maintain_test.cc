@@ -37,17 +37,50 @@ TEST(WriterMaintain, ExtentsCarryAcrossCommits) {
                         "def insert(:edge, x, y) : x = 3 and y = 4")
                 .output.size(),
             3u);
-  EXPECT_GT(engine.writer_extent_cache().size(), 0u);
-  EXPECT_GT(engine.writer_extent_cache().maintained() +
-                engine.writer_extent_cache().restamped(),
+  EXPECT_GT(engine.writer_cache().size(), 0u);
+  EXPECT_GT(engine.writer_cache().maintained() +
+                engine.writer_cache().restamped(),
             0u);
 
   // The next transaction's pre-state evaluation hits the maintained entry —
   // no recomputation — and sees the new edge.
-  uint64_t hits_before = engine.writer_extent_cache().hits();
+  uint64_t hits_before = engine.writer_cache().hits();
   TxnResult r = engine.Exec("def output(x, y) : tc(x, y)");
   EXPECT_EQ(r.output.size(), 6u);
-  EXPECT_GT(engine.writer_extent_cache().hits(), hits_before);
+  EXPECT_GT(engine.writer_cache().hits(), hits_before);
+}
+
+TEST(WriterMaintain, WriterCacheMaintainsDemandedCones) {
+  Engine engine;
+  engine.Define(kTc);
+  engine.Define("ic no_big() requires forall((x, y) | edge(x, y) implies x < 100)");
+  engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
+  engine.options().demand_transform = true;
+
+  // The pre-state derives the cone tc(1, Y) and caches it; the commit's
+  // maintain step moves it to the post-version.
+  EXPECT_EQ(engine.Exec("def output(y) : tc(1, y)\n"
+                        "def insert(:edge, x, y) : x = 3 and y = 4")
+                .output.ToString(),
+            "{(2); (3)}");
+  EXPECT_GT(engine.last_lowering_stats().components_demanded, 0);
+  EXPECT_GT(engine.writer_cache().maintained(), 0u);
+
+  // The next transaction answers from the maintained cone.
+  EXPECT_EQ(engine.Exec("def output(y) : tc(1, y)").output.ToString(),
+            "{(2); (3); (4)}");
+  EXPECT_GT(engine.last_lowering_stats().demand_cache_hits, 0);
+
+  // An aborted transaction maintains the cone to its working version;
+  // rollback must drop it, and a different commit re-issuing that version
+  // number must not see (4, 500) or (500, 5).
+  EXPECT_THROW(engine.Exec("def output(y) : tc(1, y)\n"
+                           "def insert(:edge, x, y) : x = 4 and y = 500\n"
+                           "def insert(:edge, x, y) : x = 500 and y = 5"),
+               ConstraintViolation);
+  engine.Exec("def insert(:edge, x, y) : x = 4 and y = 6");
+  EXPECT_EQ(engine.Exec("def output(y) : tc(1, y)").output.ToString(),
+            "{(2); (3); (4); (6)}");
 }
 
 TEST(WriterMaintain, RollbackDiscardsAbortedEntriesOnly) {
@@ -65,7 +98,7 @@ TEST(WriterMaintain, RollbackDiscardsAbortedEntriesOnly) {
   EXPECT_THROW(engine.Exec("def output(x, y) : tc(x, y)\n"
                            "def insert(:edge, x, y) : x = 500 and y = 501"),
                ConstraintViolation);
-  EXPECT_GT(engine.writer_extent_cache().dropped(), 0u);
+  EXPECT_GT(engine.writer_cache().dropped(), 0u);
 
   // A different commit re-issues the same working version numbers with
   // different content; cached extents must match it, not the abort.
@@ -81,18 +114,18 @@ TEST(SessionMaintain, ExtentCacheWalksTheDeltaChain) {
 
   std::unique_ptr<Session> reader = engine.OpenSession();
   EXPECT_EQ(reader->Query("def output(x, y) : tc(x, y)").size(), 3u);
-  EXPECT_GT(reader->extent_cache().size(), 0u);
+  EXPECT_GT(reader->cache().size(), 0u);
 
   // Two commits land elsewhere; the reader re-pins across both and its
   // cached tc fixpoint follows the delta chain instead of being dropped.
   engine.Exec("def insert(:edge, x, y) : x = 3 and y = 4");
   engine.Exec("def insert(:edge, x, y) : x = 4 and y = 5");
   reader->Refresh();
-  EXPECT_GT(reader->extent_cache().maintained(), 0u);
+  EXPECT_GT(reader->cache().maintained(), 0u);
 
-  uint64_t hits_before = reader->extent_cache().hits();
+  uint64_t hits_before = reader->cache().hits();
   EXPECT_EQ(reader->Query("def output(x, y) : tc(x, y)").size(), 10u);
-  EXPECT_GT(reader->extent_cache().hits(), hits_before);
+  EXPECT_GT(reader->cache().hits(), hits_before);
   EXPECT_GT(reader->last_lowering_stats().extent_cache_hits, 0);
 }
 
@@ -128,10 +161,10 @@ TEST(SessionMaintain, DeleteMaintainsThroughDRed) {
 
   engine.Exec("def delete(:edge, x, y) : x = 0 and y = 1");
   reader->Refresh();
-  EXPECT_GT(reader->extent_cache().maintained(), 0u);
+  EXPECT_GT(reader->cache().maintained(), 0u);
   EXPECT_EQ(reader->Query("def output(x, y) : tc(x, y)").ToString(),
             "{(0, 2); (0, 3); (1, 3); (2, 3)}");
-  EXPECT_GT(reader->extent_cache().maintain_stats().rederived, 0u);
+  EXPECT_GT(reader->cache().maintain_stats().rederived, 0u);
 }
 
 TEST(SessionMaintain, MaintainedAnswersMatchFreshSessionByteForByte) {
@@ -244,19 +277,19 @@ TEST(RuleExtension, OnlyAffectedComponentsAreInvalidated) {
   std::unique_ptr<Session> reader = engine.OpenSession();
   reader->Query("def output(x, y) : tc(x, y)");
   reader->Query("def output(x, y) : lc(x, y)");
-  size_t cached = reader->extent_cache().size();
+  size_t cached = reader->cache().size();
   ASSERT_GE(cached, 2u);
 
   // The new rule feeds `edge` (hence tc) only.
   engine.Define("def edge(x, y) : extra_edge(x, y)");
   reader->Refresh();
   // The lc entry survived; the tc entry is gone.
-  EXPECT_LT(reader->extent_cache().size(), cached);
-  EXPECT_GT(reader->extent_cache().size(), 0u);
+  EXPECT_LT(reader->cache().size(), cached);
+  EXPECT_GT(reader->cache().size(), 0u);
 
-  uint64_t hits_before = reader->extent_cache().hits();
+  uint64_t hits_before = reader->cache().hits();
   EXPECT_EQ(reader->Query("def output(x, y) : lc(x, y)").size(), 3u);
-  EXPECT_GT(reader->extent_cache().hits(), hits_before);
+  EXPECT_GT(reader->cache().hits(), hits_before);
 
   // tc reflects the new rule once extra_edge has content.
   engine.Insert("extra_edge", {Tuple({I(2), I(3)})});
@@ -277,13 +310,13 @@ TEST(RuleExtension, DemandConesFollowTheSamePolicy) {
   reader->options().demand_transform = true;
   reader->Query("def output(y) : tc(1, y)");
   reader->Query("def output(y) : lc(7, y)");
-  size_t cached = reader->demand_cache().size();
+  size_t cached = reader->cache().size();
   ASSERT_GE(cached, 2u);
 
   engine.Define("def edge(x, y) : extra_edge(x, y)");
   reader->Refresh();
-  EXPECT_LT(reader->demand_cache().size(), cached);
-  EXPECT_GT(reader->demand_cache().size(), 0u);
+  EXPECT_LT(reader->cache().size(), cached);
+  EXPECT_GT(reader->cache().size(), 0u);
   EXPECT_EQ(reader->Query("def output(y) : lc(7, y)").ToString(), "{(8)}");
 }
 

@@ -1,8 +1,9 @@
 // Session/snapshot-isolation tests: pinned readers see byte-identical
 // answers no matter what commits around them, writes serialize through the
 // commit pipeline with rollback invisible to readers, and the per-session
-// demand cache survives read-only transactions. The concurrent tests run
-// under TSan in CI — they are the data-race proof of the serving layer.
+// extent cache serves demanded cones across read-only transactions and
+// never across database timelines. The concurrent tests run under TSan in
+// CI — they are the data-race proof of the serving layer.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "base/error.h"
 #include "core/engine.h"
+#include "storage/file.h"
 
 namespace rel {
 namespace {
@@ -108,7 +110,7 @@ TEST(Session, DemandCacheServesConesAcrossReadOnlyTransactions) {
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3); (4)}");
   EXPECT_GT(session->last_lowering_stats().components_demanded, 0);
-  ASSERT_GT(session->demand_cache().size(), 0u);
+  ASSERT_GT(session->cache().size(), 0u);
 
   // Same cone, new transaction: served from the session cache — no cone
   // fixpoint runs at all in the second transaction.
@@ -125,7 +127,7 @@ TEST(Session, DemandCacheServesConesAcrossReadOnlyTransactions) {
             "{(2); (3); (4); (5)}");
   EXPECT_EQ(session->last_lowering_stats().components_demanded, 0);
   EXPECT_GT(session->last_lowering_stats().demand_cache_hits, 0);
-  EXPECT_GT(session->demand_cache().maintained(), 0u);
+  EXPECT_GT(session->cache().maintained(), 0u);
 }
 
 TEST(Session, DemandCacheIsNotPoisonedByTransactionLocalRules) {
@@ -160,13 +162,41 @@ TEST(Session, DefineClearsDemandCache) {
   std::unique_ptr<Session> session = engine.OpenSession();
   session->options().demand_transform = true;
   session->Query("def output(y) : tc(1, y)");
-  ASSERT_GT(session->demand_cache().size(), 0u);
+  ASSERT_GT(session->cache().size(), 0u);
 
   // New rules change what any cone means: the cache must empty.
   session->Define("def tc(x, y) : x = 1 and y = 100");
-  EXPECT_EQ(session->demand_cache().size(), 0u);
+  EXPECT_EQ(session->cache().size(), 0u);
   EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (100)}");
+}
+
+TEST(Session, RecoveredDatabaseDropsCachedConesAtAnAliasedVersion) {
+  // AttachStorage starts a new version timeline, so the recovered head can
+  // carry the same version number as the session's pin. No delta leads
+  // into it: every cached cone must go, whatever its version stamp.
+  auto fs = std::make_shared<storage::MemFileSystem>();
+  {
+    Engine a;
+    ASSERT_TRUE(a.AttachStorage("db", {}, fs).status.ok());
+    a.Exec("def insert(:edge, x, y) : x = 1 and y = 7");
+  }
+
+  Engine b;
+  b.Define(
+      "def tc(x, y) : edge(x, y)\n"
+      "def tc(x, z) : exists((y) | edge(x, y) and tc(y, z))");
+  b.Insert("edge", {Tuple({I(1), I(2)})});
+  std::unique_ptr<Session> session = b.OpenSession();
+  session->options().demand_transform = true;
+  EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(), "{(2)}");
+  const uint64_t pinned = session->snapshot_version();
+
+  auto image = std::make_shared<storage::MemFileSystem>(fs->FilesAsIs());
+  ASSERT_TRUE(b.AttachStorage("db", {}, image).status.ok());
+  session->Refresh();
+  ASSERT_EQ(session->snapshot_version(), pinned);  // the aliased version
+  EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(), "{(7)}");
 }
 
 // --- concurrency (the TSan targets) ---------------------------------------

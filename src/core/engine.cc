@@ -281,6 +281,10 @@ TxnResult Engine::ExecTxn(const std::string& source, const InterpOptions& opts,
   // commit instead of recomputing them — the post-state constraint check
   // (and every later transaction) resumes semi-naive evaluation from the
   // delta (insert) or runs DRed (delete); see core/extent_cache.h.
+  // Maintain edits cached extents in place, and the pre-state `interp`
+  // serves its cache hits by reference to them: it must not be read past
+  // this line. Everything kept from it (output, inserts, deletes) was copied
+  // out above.
   writer_cache_.Maintain(*delta, LoweredEvalOptions(writer_opts));
 
   // The effective net change, for Decker-style constraint specialization:

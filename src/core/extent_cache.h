@@ -30,6 +30,17 @@
 // each Session owns one, and the Engine's writer side owns one. Only the
 // owner mutates the cache, and only between transactions.
 //
+// Borrowing. An Interp serves a hit — a component's extents and a cone
+// alike — by reference into the entry, never a copy. The reference stays
+// valid until the owner's next Maintain, DropAbove, ClearAffected, Clear
+// or replacing Store, so an Interp must not be read past any of them (the
+// writer copies what it keeps out of its pre-state Interp before its
+// Maintain). Only the owner's thread reads borrowed extents: reading one
+// may force its lazy sorted view, a mutation under const (see
+// src/data/README.md), which Maintain's in-place edits invalidate again.
+// Interps on other threads (the parallel constraint checker) run without
+// a cache.
+//
 // Invalidation. The version stamp is the whole validity claim: an entry
 // answers a lookup only at exactly its stamped version, and the owner must
 // keep every stamp on the timeline of the database it will query next:

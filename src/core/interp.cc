@@ -245,7 +245,7 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   if (inst.failed_safety) {
     throw RelError(ErrorKind::kSafety, inst.failure_message);
   }
-  if (inst.done) return inst.value;
+  if (inst.done) return inst.extent();
   if (inst.in_progress) {
     // Recursive reference: hand out the current partial value and mark
     // everything above the referenced instance as provisional.
@@ -257,10 +257,8 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   }
 
   const auto& rules = DefsOf(key.name, key.sig);
-  Relation base;
-  if (key.sig == 0) base = db_->Get(key.name);
   if (rules.empty()) {
-    inst.value = std::move(base);
+    if (key.sig == 0) inst.value = db_->Get(key.name);
     inst.done = true;
     return inst.value;
   }
@@ -284,9 +282,13 @@ const Relation& Interp::EvalInstanceImpl(const InstanceKey& key) {
   if (options_.lower_recursion && key.sig == 0 && key.so_args.empty() &&
       lowerable && TryLowerComponent(key.name)) {
     InternalCheck(inst.done, "lowered component missing its own instance");
-    return inst.value;
+    return inst.extent();
   }
 
+  // Only the saturation loop reads the base facts; the lowered component
+  // took its own from the database.
+  Relation base;
+  if (key.sig == 0) base = db_->Get(key.name);
   inst.in_progress = true;
   inst.provisional = false;
   inst.stack_pos = static_cast<int>(stack_.size());
@@ -425,24 +427,36 @@ bool Interp::TryLowerComponent(const std::string& name) {
     return false;
   };
 
-  // Splices one member's finished extent into the instance table.
-  auto splice = [&](const std::string& member, Relation value) {
-    Instance& inst = instances_[InstanceKey{member, 0, {}}];
-    // No member can be mid-saturation here: reaching a member's fixpoint at
-    // all means an earlier lowering attempt for this component failed, and
-    // failed components never retry.
-    InternalCheck(!inst.in_progress, "lowering into an in-progress instance");
-    inst.value = std::move(value);
-    inst.done = true;
-    inst.provisional = false;
-    lowering_stats_.lowered_tuples += inst.value.size();
-    lowering_stats_.lowered_names.push_back(member);
+  // Splices the component's finished extents into the instance table by
+  // reference, never by copy: `extents` is a cache entry's own or one this
+  // Interp keeps in lowered_extents_.
+  auto splice = [&](const std::map<std::string, Relation>& extents) {
+    for (const std::string& member : analysis_.ComponentMembers(name)) {
+      Instance& inst = instances_[InstanceKey{member, 0, {}}];
+      // No member can be mid-saturation here: reaching a member's fixpoint
+      // at all means an earlier lowering attempt for this component failed,
+      // and failed components never retry.
+      InternalCheck(!inst.in_progress, "lowering into an in-progress instance");
+      auto it = extents.find(member);
+      inst.value = Relation();
+      inst.borrowed = it == extents.end() ? nullptr : &it->second;
+      inst.done = true;
+      inst.provisional = false;
+      lowering_stats_.lowered_tuples += inst.extent().size();
+      lowering_stats_.lowered_names.push_back(member);
+    }
+    ++lowering_stats_.components_lowered;
   };
 
   // Cross-transaction fast path: the owner of the extent cache maintains
   // component fixpoints forward under commit deltas, so a component built
   // from shared rules may already have its extents for this exact database
-  // version — splice copies and skip the evaluator entirely.
+  // version — skip the evaluator entirely. Hit or miss, the members serve
+  // the entry's own extents in place, so a lazy sorted view is built at
+  // most once per entry per database version, never per query. The borrow
+  // follows the cache's lifetime rule (core/extent_cache.h): valid until
+  // the owner next maintains, drops, clears or replaces the entry, which it
+  // does only between transactions.
   const bool cacheable =
       options_.extent_cache != nullptr && SharedRulesOnly(name);
   ExtentCache::Key cache_key;
@@ -450,11 +464,7 @@ bool Interp::TryLowerComponent(const std::string& name) {
     cache_key.component = ExtentCache::KeyFor(analysis_.ComponentMembers(name));
     if (const ExtentCache::Entry* hit =
             options_.extent_cache->Lookup(cache_key, db_->version())) {
-      for (const std::string& member : analysis_.ComponentMembers(name)) {
-        auto it = hit->ext.extents.find(member);
-        splice(member, it == hit->ext.extents.end() ? Relation() : it->second);
-      }
-      ++lowering_stats_.components_lowered;
+      splice(hit->ext.extents);
       ++lowering_stats_.extent_cache_hits;
       return true;
     }
@@ -477,22 +487,23 @@ bool Interp::TryLowerComponent(const std::string& name) {
     return reject(err.what());
   }
 
-  for (const std::string& member : lowered->members) {
-    auto it = extents.find(member);
-    // Copy when the cache keeps the authoritative extents, move otherwise.
-    Relation value;
-    if (it != extents.end()) value = cacheable ? it->second : std::move(it->second);
-    splice(member, std::move(value));
-  }
-  ++lowering_stats_.components_lowered;
   if (cacheable) {
     ExtentCache::Entry entry;
     entry.db_version = db_->version();
     entry.ext.extents = std::move(extents);
     FillMaintainInfo(*lowered, name, &entry.ext);
     entry.ext.program = std::move(lowered->program);
-    options_.extent_cache->Store(std::move(cache_key), std::move(entry));
+    splice(options_.extent_cache->Store(std::move(cache_key), std::move(entry))
+               .ext.extents);
+    return true;
   }
+  // Keep only the members' extents; the rest are this evaluation's EDB.
+  std::map<std::string, Relation>& kept = lowered_extents_.emplace_back();
+  for (const std::string& member : lowered->members) {
+    auto it = extents.find(member);
+    if (it != extents.end()) kept.emplace(member, std::move(it->second));
+  }
+  splice(kept);
   return true;
 }
 

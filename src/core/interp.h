@@ -154,7 +154,9 @@ class Interp {
   /// Evaluates the instance of `name` (rules with `sig` leading relation
   /// parameters, specialized by `so_args`), running fixpoints as needed.
   /// The reference stays valid until the next call that evaluates the same
-  /// instance (callers must copy out what they keep across re-entry).
+  /// instance (callers must copy out what they keep across re-entry); an
+  /// extent served from options().extent_cache is the entry's own, valid
+  /// only until the cache's owner next mutates it (core/extent_cache.h).
   const Relation& EvalInstance(const std::string& name, size_t sig,
                                const std::vector<SOValue>& so_args);
 
@@ -238,22 +240,28 @@ class Interp {
 
   struct Instance {
     Relation value;
+    /// Set on a lowered instance: its finished extent, owned by an
+    /// ExtentCache entry or by lowered_extents_ and served in place of
+    /// `value` (see TryLowerComponent for the lifetime rule).
+    const Relation* borrowed = nullptr;
     bool done = false;
     bool in_progress = false;
     bool provisional = false;   // read a partial value; do not finalize
     bool failed_safety = false; // materialization is unsafe; cached failure
     std::string failure_message;
     int stack_pos = -1;
+
+    const Relation& extent() const { return borrowed ? *borrowed : value; }
   };
 
   const Relation& EvalInstanceImpl(const InstanceKey& key);
 
   /// Attempts to evaluate the whole recursive component of `name` with the
   /// Datalog engine, splicing every member's extent into `instances_` as a
-  /// finished instance. Returns false (and remembers the component as
-  /// failed) when the component is outside the Datalog fragment or the
-  /// evaluation cannot proceed — the caller then falls back to the
-  /// tuple-at-a-time fixpoint.
+  /// finished instance, by reference, never a copy. Returns false (and
+  /// remembers the component as failed) when the component is outside the
+  /// Datalog fragment or the evaluation cannot proceed — the caller then
+  /// falls back to the tuple-at-a-time fixpoint.
   bool TryLowerComponent(const std::string& name);
 
   /// The extent-cache gate: true iff no def reachable from `name` (itself
@@ -291,6 +299,9 @@ class Interp {
   Solver solver_;
 
   std::map<InstanceKey, Instance> instances_;
+  /// Members' extents of lowered components the extent cache does not
+  /// keep; their instances borrow from here. A deque keeps them in place.
+  std::deque<std::map<std::string, Relation>> lowered_extents_;
   std::vector<Instance*> stack_;
   LoweringStats lowering_stats_;
   std::set<int> lowering_failed_components_;

@@ -125,6 +125,9 @@ class Session {
   /// The session's cross-transaction cache of lowered-component extents
   /// and demanded cones, maintained across re-pins.
   const ExtentCache& cache() const { return cache_; }
+  /// Mutable access, for an Interp run directly against snapshot() on this
+  /// session's thread (InterpOptions::extent_cache).
+  ExtentCache& cache() { return cache_; }
 
  private:
   friend class Engine;

@@ -333,6 +333,10 @@ class CaseRunner {
       auto session = engine.OpenSession();
       query_all("rel/session",
                 [&](const std::string& q) { return session->Query(q); });
+      // The same session again: every lowered component is now an extent
+      // cache hit, so this pass checks the borrowed cached extents.
+      query_all("rel/session/warm",
+                [&](const std::string& q) { return session->Query(q); });
     }
 
     RunRelDemand(ref, engine);

@@ -4,10 +4,11 @@
 // repository offers — the classical Datalog engine under each strategy,
 // thread count and plan-order seed, with and without the magic-set demand
 // transform, plus the Rel engine through the to_rel translation bridge
-// (direct interpretation, recursion lowering, a fresh Session snapshot, and
-// the demand-transformed engine path) — and every answer is compared
-// against a single oracle: the naive scan evaluator, the simplest code in
-// the tree.
+// (direct interpretation, recursion lowering, a fresh Session snapshot, the
+// same Session again with every lowered component served from its extent
+// cache, and the demand-transformed engine path) — and every answer is
+// compared against a single oracle: the naive scan evaluator, the simplest
+// code in the tree.
 //
 // Beyond answers, the runner cross-checks EvalStats between cost-equivalent
 // configurations. The invariants it enforces follow from documented

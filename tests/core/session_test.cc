@@ -130,6 +130,59 @@ TEST(Session, DemandCacheServesConesAcrossReadOnlyTransactions) {
   EXPECT_GT(session->cache().maintained(), 0u);
 }
 
+TEST(Session, ExtentCacheHitsServeTheCachedExtentInPlace) {
+  Engine engine;
+  engine.Define(
+      "def tc(x, y) : edge(x, y)\n"
+      "def tc(x, z) : exists((y) | edge(x, y) and tc(y, z))\n"
+      "ic acyclic() requires forall((x, y) | tc(x, y) implies x != y)");
+  engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)}),
+                         Tuple({I(3), I(4)})});
+  const std::string all = "def output(x, y) : tc(x, y)";
+  auto fresh = [&] { return engine.OpenSession()->Query(all).ToString(); };
+
+  std::unique_ptr<Session> session = engine.OpenSession();
+  EXPECT_EQ(session->Query(all).ToString(), fresh());  // warms the cache
+  {
+    // A hit hands out the entry's own arena: a copy would get a fresh id.
+    const Snapshot& snap = session->snapshot();
+    InterpOptions opts = session->options();
+    opts.shared_defs = snap.rules->size();
+    opts.extent_cache = &session->cache();
+    opts.shared_analysis = snap.rules_analysis.get();
+    Interp interp(snap.db.get(), *snap.rules, opts);
+    const ColumnArena* served = interp.EvalInstance("tc", 0, {}).ArenaOfArity(2);
+    EXPECT_EQ(interp.lowering_stats().extent_cache_hits, 1);
+
+    ExtentCache::Key key;
+    key.component = ExtentCache::KeyFor({"tc"});
+    const ExtentCache::Entry* entry =
+        session->cache().Lookup(key, session->snapshot_version());
+    ASSERT_NE(entry, nullptr);
+    ASSERT_NE(served, nullptr);
+    EXPECT_EQ(served->id(), entry->ext.extents.at("tc").ArenaOfArity(2)->id());
+  }
+
+  // Maintain edits the borrowed entry in place across an insert commit and
+  // a delete commit; every later hit must still match a cold session.
+  engine.Exec("def insert(:edge, x, y) : x = 4 and y = 5");
+  session->Refresh();
+  EXPECT_EQ(session->Query(all).ToString(), fresh());
+  engine.Exec("def delete(:edge, x, y) : x = 1 and y = 2");
+  session->Refresh();
+  EXPECT_EQ(session->Query(all).ToString(), fresh());
+  EXPECT_GT(session->cache().maintained(), 0u);
+
+  // A writer transaction that reads tc, maintains the writer cache's entry
+  // to its working version, checks the constraint against it and aborts:
+  // DropAbove discards the entry, and the next reads are still right.
+  EXPECT_THROW(session->Exec("def insert(:edge, x, y) : tc(x, 5) and y = x"),
+               ConstraintViolation);
+  EXPECT_EQ(session->Exec(all).output.ToString(), fresh());
+  EXPECT_EQ(session->Query(all).ToString(), fresh());
+  EXPECT_EQ(fresh(), "{(2, 3); (2, 4); (2, 5); (3, 4); (3, 5); (4, 5)}");
+}
+
 TEST(Session, DemandCacheIsNotPoisonedByTransactionLocalRules) {
   // A query-source def that feeds the cone must not produce a cacheable
   // entry a later plain query would wrongly reuse.

@@ -6,119 +6,18 @@
 #include <regex>
 
 #include "base/error.h"
+#include "data/scalar.h"
 
 namespace rel {
 
 namespace {
 
 bool NumericEqual(const Value& a, const Value& b) {
-  return a.NumericCompare(b) == Value::Ordering::kEqual;
+  return scalar::Compare(scalar::CmpOp::kEq, a, b);
 }
 
 bool BothNumbers(const Value& a, const Value& b) {
   return a.is_number() && b.is_number();
-}
-
-// --- arithmetic kernels -----------------------------------------------------
-
-/// Signed-overflow guard for the int lanes of +, -, * and ^: i64 wraparound
-/// is UB, so the checked lanes raise kType instead — the SAME error the
-/// classical engine's CheckedI64 raises (datalog/eval.cc), so the
-/// differential suites see one behavior on both paths instead of two
-/// different wrapped values.
-int64_t CheckedInt(int64_t a, const char* op, int64_t b, bool overflow,
-                   int64_t r) {
-  if (overflow) {
-    throw RelError(ErrorKind::kType,
-                   "integer overflow: " + std::to_string(a) + " " + op + " " +
-                       std::to_string(b) + " exceeds the int64 range");
-  }
-  return r;
-}
-
-std::optional<Value> NumAdd(const Value& a, const Value& b) {
-  if (!BothNumbers(a, b)) return std::nullopt;
-  if (a.is_int() && b.is_int()) {
-    int64_t r = 0;
-    bool o = __builtin_add_overflow(a.AsInt(), b.AsInt(), &r);
-    return Value::Int(CheckedInt(a.AsInt(), "+", b.AsInt(), o, r));
-  }
-  return Value::Float(a.AsDouble() + b.AsDouble());
-}
-
-std::optional<Value> NumSub(const Value& a, const Value& b) {
-  if (!BothNumbers(a, b)) return std::nullopt;
-  if (a.is_int() && b.is_int()) {
-    int64_t r = 0;
-    bool o = __builtin_sub_overflow(a.AsInt(), b.AsInt(), &r);
-    return Value::Int(CheckedInt(a.AsInt(), "-", b.AsInt(), o, r));
-  }
-  return Value::Float(a.AsDouble() - b.AsDouble());
-}
-
-std::optional<Value> NumMul(const Value& a, const Value& b) {
-  if (!BothNumbers(a, b)) return std::nullopt;
-  if (a.is_int() && b.is_int()) {
-    int64_t r = 0;
-    bool o = __builtin_mul_overflow(a.AsInt(), b.AsInt(), &r);
-    return Value::Int(CheckedInt(a.AsInt(), "*", b.AsInt(), o, r));
-  }
-  return Value::Float(a.AsDouble() * b.AsDouble());
-}
-
-// Division: exact integer division stays an Int so that integer workloads
-// (the paper's addUp example divides by 10) keep recursing over Int; any
-// inexact division produces a Float.
-std::optional<Value> NumDiv(const Value& a, const Value& b) {
-  if (!BothNumbers(a, b)) return std::nullopt;
-  if (a.is_int() && b.is_int()) {
-    if (b.AsInt() == 0) return std::nullopt;
-    if (b.AsInt() == -1) {
-      // INT64_MIN / -1 overflows (and the % below traps); promote that one
-      // case to float, matching datalog/eval.cc.
-      if (a.AsInt() == INT64_MIN) {
-        return Value::Float(-static_cast<double>(a.AsInt()));
-      }
-      return Value::Int(-a.AsInt());
-    }
-    if (a.AsInt() % b.AsInt() == 0) return Value::Int(a.AsInt() / b.AsInt());
-    return Value::Float(a.AsDouble() / b.AsDouble());
-  }
-  if (b.AsDouble() == 0.0) return std::nullopt;
-  return Value::Float(a.AsDouble() / b.AsDouble());
-}
-
-std::optional<Value> NumMod(const Value& a, const Value& b) {
-  if (!a.is_int() || !b.is_int() || b.AsInt() == 0) return std::nullopt;
-  // x % -1 is 0 for all x, but the instruction traps on INT64_MIN (UB).
-  if (b.AsInt() == -1) return Value::Int(0);
-  return Value::Int(a.AsInt() % b.AsInt());
-}
-
-std::optional<Value> NumPow(const Value& a, const Value& b) {
-  if (!BothNumbers(a, b)) return std::nullopt;
-  if (a.is_int() && b.is_int() && b.AsInt() >= 0) {
-    int64_t result = 1;
-    int64_t base = a.AsInt();
-    for (int64_t i = 0; i < b.AsInt(); ++i) {
-      bool o = __builtin_mul_overflow(result, base, &result);
-      CheckedInt(a.AsInt(), "^", b.AsInt(), o, result);
-    }
-    return Value::Int(result);
-  }
-  return Value::Float(std::pow(a.AsDouble(), b.AsDouble()));
-}
-
-std::optional<Value> NumMin(const Value& a, const Value& b) {
-  auto c = a.NumericCompare(b);
-  if (c == Value::Ordering::kUnordered) return std::nullopt;
-  return c == Value::Ordering::kGreater ? b : a;
-}
-
-std::optional<Value> NumMax(const Value& a, const Value& b) {
-  auto c = a.NumericCompare(b);
-  if (c == Value::Ordering::kUnordered) return std::nullopt;
-  return c == Value::Ordering::kLess ? b : a;
 }
 
 // --- builtin implementations ------------------------------------------------
@@ -189,9 +88,7 @@ class EqBuiltin : public Builtin {
   void Eval(const std::vector<std::optional<Value>>& args,
             const BuiltinEmit& emit) const override {
     if (args[0] && args[1]) {
-      if (args[0]->NumericCompare(*args[1]) == Value::Ordering::kEqual) {
-        emit({*args[0], *args[1]});
-      }
+      if (NumericEqual(*args[0], *args[1])) emit({*args[0], *args[1]});
     } else if (args[0]) {
       emit({*args[0], *args[0]});
     } else if (args[1]) {
@@ -203,9 +100,8 @@ class EqBuiltin : public Builtin {
 /// Binary comparison relations; both arguments must be bound.
 class CompareBuiltin : public Builtin {
  public:
-  using Pred = bool (*)(Value::Ordering);
-  CompareBuiltin(std::string name, Pred pred)
-      : Builtin(std::move(name), 2), pred_(pred) {}
+  CompareBuiltin(std::string name, scalar::CmpOp op)
+      : Builtin(std::move(name), 2), op_(op) {}
 
   bool Supports(const std::vector<bool>& bound) const override {
     return bound[0] && bound[1];
@@ -213,13 +109,11 @@ class CompareBuiltin : public Builtin {
 
   void Eval(const std::vector<std::optional<Value>>& args,
             const BuiltinEmit& emit) const override {
-    Value::Ordering o = args[0]->NumericCompare(*args[1]);
-    if (o == Value::Ordering::kUnordered) return;
-    if (pred_(o)) emit({*args[0], *args[1]});
+    if (scalar::Compare(op_, *args[0], *args[1])) emit({*args[0], *args[1]});
   }
 
  private:
-  Pred pred_;
+  scalar::CmpOp op_;
 };
 
 /// negate(x, y): y = -x, invertible.
@@ -233,18 +127,13 @@ class NegateBuiltin : public Builtin {
 
   void Eval(const std::vector<std::optional<Value>>& args,
             const BuiltinEmit& emit) const override {
-    auto negate = [](const Value& v) -> std::optional<Value> {
-      if (v.is_int()) return Value::Int(-v.AsInt());
-      if (v.is_float()) return Value::Float(-v.AsFloat());
-      return std::nullopt;
-    };
     if (args[0]) {
-      std::optional<Value> r = negate(*args[0]);
+      std::optional<Value> r = scalar::Neg(*args[0]);
       if (!r) return;
       if (args[1] && !NumericEqual(*r, *args[1])) return;
       emit({*args[0], args[1] ? *args[1] : *r});
     } else if (args[1]) {
-      std::optional<Value> r = negate(*args[1]);
+      std::optional<Value> r = scalar::Neg(*args[1]);
       if (!r) return;
       emit({*r, *args[1]});
     }
@@ -284,22 +173,10 @@ class RangeBuiltin : public Builtin {
 
   void Eval(const std::vector<std::optional<Value>>& args,
             const BuiltinEmit& emit) const override {
-    if (!args[0]->is_int() || !args[1]->is_int() || !args[2]->is_int()) return;
-    int64_t lo = args[0]->AsInt();
-    int64_t hi = args[1]->AsInt();
-    int64_t step = args[2]->AsInt();
-    if (step <= 0) return;
-    if (args[3]) {
-      if (!args[3]->is_int()) return;
-      int64_t x = args[3]->AsInt();
-      if (x >= lo && x <= hi && (x - lo) % step == 0) {
-        emit({*args[0], *args[1], *args[2], *args[3]});
-      }
-      return;
-    }
-    for (int64_t x = lo; x <= hi; x += step) {
-      emit({*args[0], *args[1], *args[2], Value::Int(x)});
-    }
+    scalar::Range(*args[0], *args[1], *args[2], args[3],
+                  [&](const Value& x) {
+                    emit({*args[0], *args[1], *args[2], x});
+                  });
   }
 };
 
@@ -379,23 +256,27 @@ std::map<std::string, std::unique_ptr<Builtin>> MakeRegistry() {
   std::map<std::string, std::unique_ptr<Builtin>> reg;
   auto add = [&reg](Builtin* b) { reg.emplace(b->name(), b); };
 
-  add(new TernaryOp("add", NumAdd, /*inv_y=*/
-                    [](const Value& x, const Value& z) { return NumSub(z, x); },
+  using scalar::Add;
+  using scalar::Div;
+  using scalar::Mul;
+  using scalar::Sub;
+  add(new TernaryOp("add", Add, /*inv_y=*/
+                    [](const Value& x, const Value& z) { return Sub(z, x); },
                     /*inv_x=*/
-                    [](const Value& y, const Value& z) { return NumSub(z, y); }));
-  add(new TernaryOp("subtract", NumSub,
-                    [](const Value& x, const Value& z) { return NumSub(x, z); },
-                    [](const Value& y, const Value& z) { return NumAdd(z, y); }));
-  add(new TernaryOp("multiply", NumMul,
-                    [](const Value& x, const Value& z) { return NumDiv(z, x); },
-                    [](const Value& y, const Value& z) { return NumDiv(z, y); }));
-  add(new TernaryOp("divide", NumDiv,
-                    [](const Value& x, const Value& z) { return NumDiv(x, z); },
-                    [](const Value& y, const Value& z) { return NumMul(z, y); }));
-  add(new TernaryOp("modulo", NumMod, nullptr, nullptr));
-  add(new TernaryOp("power", NumPow, nullptr, nullptr));
-  add(new TernaryOp("minimum", NumMin, nullptr, nullptr));
-  add(new TernaryOp("maximum", NumMax, nullptr, nullptr));
+                    [](const Value& y, const Value& z) { return Sub(z, y); }));
+  add(new TernaryOp("subtract", Sub,
+                    [](const Value& x, const Value& z) { return Sub(x, z); },
+                    [](const Value& y, const Value& z) { return Add(z, y); }));
+  add(new TernaryOp("multiply", Mul,
+                    [](const Value& x, const Value& z) { return Div(z, x); },
+                    [](const Value& y, const Value& z) { return Div(z, y); }));
+  add(new TernaryOp("divide", Div,
+                    [](const Value& x, const Value& z) { return Div(x, z); },
+                    [](const Value& y, const Value& z) { return Mul(z, y); }));
+  add(new TernaryOp("modulo", scalar::Mod, nullptr, nullptr));
+  add(new TernaryOp("power", scalar::Pow, nullptr, nullptr));
+  add(new TernaryOp("minimum", scalar::Min, nullptr, nullptr));
+  add(new TernaryOp("maximum", scalar::Max, nullptr, nullptr));
   add(new TernaryOp("log", /*fwd: log base x of y*/
                     [](const Value& b, const Value& x) -> std::optional<Value> {
                       if (!BothNumbers(b, x)) return std::nullopt;
@@ -409,17 +290,9 @@ std::map<std::string, std::unique_ptr<Builtin>> MakeRegistry() {
                     nullptr, nullptr));
 
   add(new EqBuiltin());
-  add(new CompareBuiltin(
-      "neq", [](Value::Ordering o) { return o != Value::Ordering::kEqual; }));
-  add(new CompareBuiltin(
-      "lt", [](Value::Ordering o) { return o == Value::Ordering::kLess; }));
-  add(new CompareBuiltin("lt_eq", [](Value::Ordering o) {
-    return o != Value::Ordering::kGreater;
-  }));
-  add(new CompareBuiltin(
-      "gt", [](Value::Ordering o) { return o == Value::Ordering::kGreater; }));
-  add(new CompareBuiltin(
-      "gt_eq", [](Value::Ordering o) { return o != Value::Ordering::kLess; }));
+  for (const char* name : {"neq", "lt", "lt_eq", "gt", "gt_eq"}) {
+    add(new CompareBuiltin(name, *scalar::CmpOpOfBuiltin(name)));
+  }
 
   add(new NegateBuiltin());
 
@@ -452,7 +325,7 @@ std::map<std::string, std::unique_ptr<Builtin>> MakeRegistry() {
   add(new UnaryMathBuiltin("tan",
                            [](const Value& v) { return FloatFn(v, std::tan); }));
   add(new UnaryMathBuiltin("abs", [](const Value& v) -> std::optional<Value> {
-    if (v.is_int()) return Value::Int(std::abs(v.AsInt()));
+    if (v.is_int()) return v.AsInt() < 0 ? scalar::Neg(v) : v;
     if (v.is_float()) return Value::Float(std::fabs(v.AsFloat()));
     return std::nullopt;
   }));

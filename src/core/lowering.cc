@@ -5,6 +5,7 @@
 
 #include "core/builtins.h"
 #include "core/parser.h"
+#include "data/scalar.h"
 
 namespace rel {
 
@@ -33,27 +34,6 @@ std::string CanonicalBuiltin(const std::string& name) {
   constexpr char kPrefix[] = "rel_primitive_";
   if (name.rfind(kPrefix, 0) == 0) return name.substr(sizeof(kPrefix) - 1);
   return name;
-}
-
-std::optional<CmpOp> CmpOpOf(const std::string& canonical) {
-  if (canonical == "eq") return CmpOp::kEq;
-  if (canonical == "neq") return CmpOp::kNeq;
-  if (canonical == "lt") return CmpOp::kLt;
-  if (canonical == "lt_eq") return CmpOp::kLe;
-  if (canonical == "gt") return CmpOp::kGt;
-  if (canonical == "gt_eq") return CmpOp::kGe;
-  return std::nullopt;
-}
-
-std::optional<ArithOp> ArithOpOf(const std::string& canonical) {
-  if (canonical == "add") return ArithOp::kAdd;
-  if (canonical == "subtract") return ArithOp::kSub;
-  if (canonical == "multiply") return ArithOp::kMul;
-  if (canonical == "divide") return ArithOp::kDiv;
-  if (canonical == "modulo") return ArithOp::kMod;
-  if (canonical == "minimum") return ArithOp::kMin;
-  if (canonical == "maximum") return ArithOp::kMax;
-  return std::nullopt;
 }
 
 /// Unwraps chained partial applications: T[a][b](c) has base T and
@@ -297,7 +277,7 @@ std::optional<AggMatch> MatchAggEq(const ExprPtr& conjunct, const Def& def,
 /// equality into a kBind of `v` to `t`'s value — exactly what the direct
 /// assignment produces — so plans, extents, and error behavior are
 /// unchanged. `v` bound elsewhere keeps the Compare form: equality against
-/// a bound variable is numeric-tolerant (EvalCompare equates Int 1 with
+/// a bound variable is numeric-tolerant (scalar::Compare equates Int 1 with
 /// Float 1.0) while a bound Assign target checks exact value identity.
 ///
 /// The point of the fusion is the recursive-aggregate monotonicity check
@@ -576,7 +556,8 @@ class RuleLowerer {
           }
           return Term::Var(result);
         }
-        std::optional<ArithOp> op = ArithOpOf(CanonicalBuiltin(base->name));
+        std::optional<ArithOp> op =
+            scalar::ArithOpOfBuiltin(CanonicalBuiltin(base->name));
         if (!op || args.size() != 2) {
           if (why_ && why_->empty()) {
             *why_ = "unsupported builtin '" + base->name + "'";
@@ -683,7 +664,7 @@ class RuleLowerer {
     const Builtin* builtin = is_defined ? nullptr : FindBuiltin(name);
     if (builtin) {
       std::string canonical = CanonicalBuiltin(name);
-      if (std::optional<CmpOp> cmp = CmpOpOf(canonical)) {
+      if (std::optional<CmpOp> cmp = scalar::CmpOpOfBuiltin(canonical)) {
         if (args.size() != 2) return FailBool("comparison arity");
         // Negated comparisons must complement the WHOLE outcome, kUnordered
         // included: `not (x < 1)` holds for x = "a" in Rel, while the naive
@@ -719,7 +700,7 @@ class RuleLowerer {
             Literal::Range(terms[0], terms[1], terms[2], terms[3]));
         return true;
       }
-      if (std::optional<ArithOp> op = ArithOpOf(canonical)) {
+      if (std::optional<ArithOp> op = scalar::ArithOpOfBuiltin(canonical)) {
         // add(a, b, c): compute into a fresh variable, then equate with the
         // result term — numeric-tolerant, matching the builtin's semantics.
         if (args.size() != 3) return FailBool("arithmetic builtin arity");

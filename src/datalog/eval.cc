@@ -16,6 +16,7 @@
 #include "base/hash.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "data/scalar.h"
 #include "datalog/index.h"
 #include "datalog/magic.h"
 #include "joins/leapfrog.h"
@@ -63,105 +64,17 @@ std::map<std::string, int> Stratify(const Program& program) {
   return stratum;
 }
 
-// --- scalar evaluation -------------------------------------------------------
-
-/// Signed-overflow guard for the int lanes of +, -, * (and the sum/count
-/// aggregate fold): i64 wraparound is UB, and the Rel interpreter's checked
-/// kernels (core/builtins.cc) raise kType for the same inputs — both engines
-/// must agree on the error, not on two different wrapped values.
-int64_t CheckedI64(ArithOp op, int64_t a, int64_t b) {
-  int64_t r = 0;
-  bool overflow = false;
-  switch (op) {
-    case ArithOp::kAdd: overflow = __builtin_add_overflow(a, b, &r); break;
-    case ArithOp::kSub: overflow = __builtin_sub_overflow(a, b, &r); break;
-    case ArithOp::kMul: overflow = __builtin_mul_overflow(a, b, &r); break;
-    default: InternalCheck(false, "CheckedI64 on a non-overflowing op");
-  }
-  if (overflow) {
-    throw RelError(ErrorKind::kType,
-                   "integer overflow: " + std::to_string(a) +
-                       (op == ArithOp::kAdd ? " + "
-                        : op == ArithOp::kSub ? " - "
-                                              : " * ") +
-                       std::to_string(b) + " exceeds the int64 range");
-  }
-  return r;
-}
-
-std::optional<Value> EvalArith(ArithOp op, const Value& a, const Value& b) {
-  auto both_int = a.is_int() && b.is_int();
-  if (!a.is_number() || !b.is_number()) return std::nullopt;
-  switch (op) {
-    case ArithOp::kAdd:
-      return both_int ? Value::Int(CheckedI64(op, a.AsInt(), b.AsInt()))
-                      : Value::Float(a.AsDouble() + b.AsDouble());
-    case ArithOp::kSub:
-      return both_int ? Value::Int(CheckedI64(op, a.AsInt(), b.AsInt()))
-                      : Value::Float(a.AsDouble() - b.AsDouble());
-    case ArithOp::kMul:
-      return both_int ? Value::Int(CheckedI64(op, a.AsInt(), b.AsInt()))
-                      : Value::Float(a.AsDouble() * b.AsDouble());
-    case ArithOp::kDiv: {
-      if (b.AsDouble() == 0) return std::nullopt;
-      if (both_int) {
-        int64_t x = a.AsInt();
-        int64_t y = b.AsInt();
-        if (y == -1) {
-          // INT64_MIN / -1 overflows (UB); promote that one case to float.
-          if (x == INT64_MIN) return Value::Float(-static_cast<double>(x));
-          return Value::Int(-x);
-        }
-        if (x % y == 0) return Value::Int(x / y);
-      }
-      return Value::Float(a.AsDouble() / b.AsDouble());
-    }
-    case ArithOp::kMod: {
-      if (!both_int || b.AsInt() == 0) return std::nullopt;
-      // x % -1 is 0 for all x, but the instruction traps on INT64_MIN (UB).
-      if (b.AsInt() == -1) return Value::Int(0);
-      return Value::Int(a.AsInt() % b.AsInt());
-    }
-    case ArithOp::kMin:
-      return a.NumericCompare(b) == Value::Ordering::kGreater ? b : a;
-    case ArithOp::kMax:
-      return a.NumericCompare(b) == Value::Ordering::kLess ? b : a;
-  }
-  return std::nullopt;
-}
-
-bool EvalCompare(CmpOp op, const Value& a, const Value& b) {
-  Value::Ordering o = a.NumericCompare(b);
-  switch (op) {
-    case CmpOp::kEq: return o == Value::Ordering::kEqual;
-    case CmpOp::kNeq: return o != Value::Ordering::kEqual &&
-                             o != Value::Ordering::kUnordered;
-    case CmpOp::kLt: return o == Value::Ordering::kLess;
-    case CmpOp::kLe: return o == Value::Ordering::kLess ||
-                            o == Value::Ordering::kEqual;
-    case CmpOp::kGt: return o == Value::Ordering::kGreater;
-    case CmpOp::kGe: return o == Value::Ordering::kGreater ||
-                            o == Value::Ordering::kEqual;
-  }
-  return false;
-}
+// --- scalar evaluation (semantics: data/scalar.h) ----------------------------
 
 /// A kCompare literal's outcome: the comparison, complemented when the
 /// literal is negated. The complement is over the whole outcome, so
 /// kUnordered operands (where every plain comparison is false) satisfy
 /// every negated comparison — the faithful `not (a < b)` semantics.
 bool EvalCompareLit(const Literal& lit, const Value& a, const Value& b) {
-  return EvalCompare(lit.cmp_op, a, b) != lit.negated;
+  return scalar::Compare(lit.cmp_op, a, b) != lit.negated;
 }
 
 // --- aggregate folds ---------------------------------------------------------
-//
-// These mirror the Rel interpreter's reduce kernels (core/builtins.cc
-// rel_primitive_add / minimum / maximum) exactly — NOT EvalArith, whose
-// kMin/kMax keep the first operand on an unordered comparison where the Rel
-// kernels produce no value at all. Byte-identity of lowered aggregate
-// extents with the interpreter rests on that distinction (NaN payloads, and
-// kEqual ties keeping the first sorted operand's representation).
 
 const char* AggOpName(AggOp op) {
   switch (op) {
@@ -173,37 +86,14 @@ const char* AggOpName(AggOp op) {
   return "?";
 }
 
-std::optional<Value> FoldStep(AggOp op, const Value& acc, const Value& v) {
-  switch (op) {
-    case AggOp::kSum:
-    case AggOp::kCount: {
-      if (acc.is_int() && v.is_int()) {
-        return Value::Int(CheckedI64(ArithOp::kAdd, acc.AsInt(), v.AsInt()));
-      }
-      if (!acc.is_number() || !v.is_number()) return std::nullopt;
-      return Value::Float(acc.AsDouble() + v.AsDouble());
-    }
-    case AggOp::kMin: {
-      Value::Ordering c = acc.NumericCompare(v);
-      if (c == Value::Ordering::kUnordered) return std::nullopt;
-      return c == Value::Ordering::kGreater ? v : acc;
-    }
-    case AggOp::kMax: {
-      Value::Ordering c = acc.NumericCompare(v);
-      if (c == Value::Ordering::kUnordered) return std::nullopt;
-      return c == Value::Ordering::kLess ? v : acc;
-    }
-  }
-  return std::nullopt;
-}
-
 /// Folds one group's contribution bucket in sorted order, the same order
 /// the Rel interpreter's `reduce` consumes a materialized abstraction: the
 /// accumulator starts from the first sorted row's last column (the value;
-/// witnesses occupy the leading columns) and steps through the rest. A step
-/// with no result (mixed non-numeric payloads, NaN under min/max) makes the
-/// whole group's result absent — an empty or undefined group emits NO row,
-/// never a default.
+/// witnesses occupy the leading columns) and steps through the rest with
+/// the same kernel as the interpreter's `add` / `minimum` / `maximum`. A
+/// step with no result (mixed non-numeric payloads, NaN under min/max)
+/// makes the whole group's result absent — an empty or undefined group
+/// emits NO row, never a default.
 std::optional<Value> FoldBucket(AggOp op, const Relation& bucket) {
   std::optional<Value> acc;
   for (const Tuple& t : bucket.SortedTuples()) {
@@ -213,41 +103,15 @@ std::optional<Value> FoldBucket(AggOp op, const Relation& bucket) {
       acc = v;
       continue;
     }
-    acc = FoldStep(op, *acc, v);
+    switch (op) {
+      case AggOp::kSum:
+      case AggOp::kCount: acc = scalar::Add(*acc, v); break;
+      case AggOp::kMin: acc = scalar::Min(*acc, v); break;
+      case AggOp::kMax: acc = scalar::Max(*acc, v); break;
+    }
     if (!acc) return std::nullopt;
   }
   return acc;
-}
-
-/// Mirrors the Rel `range` builtin (core/builtins.cc RangeBuiltin): yields
-/// x = lo, lo+step, ..., <= hi for bound integer bounds with step > 0; a
-/// present `x` is a membership test (one yield or none). Non-integer bounds
-/// or step <= 0 yield nothing — same as the builtin, never an error. The
-/// membership modulus runs in uint64 so an astronomically wide range stays
-/// defined; the enumeration stops before a signed increment could wrap.
-template <typename Fn>
-void EvalRange(const Value& lo_v, const Value& hi_v, const Value& step_v,
-               const std::optional<Value>& x, Fn&& yield) {
-  if (!lo_v.is_int() || !hi_v.is_int() || !step_v.is_int()) return;
-  int64_t lo = lo_v.AsInt();
-  int64_t hi = hi_v.AsInt();
-  int64_t step = step_v.AsInt();
-  if (step <= 0) return;
-  if (x) {
-    if (!x->is_int()) return;
-    int64_t v = x->AsInt();
-    if (v >= lo && v <= hi &&
-        (static_cast<uint64_t>(v) - static_cast<uint64_t>(lo)) %
-                static_cast<uint64_t>(step) ==
-            0) {
-      yield(*x);
-    }
-    return;
-  }
-  for (int64_t v = lo; v <= hi;) {
-    yield(Value::Int(v));
-    if (__builtin_add_overflow(v, step, &v)) break;
-  }
 }
 
 /// Mutable per-rule binding vector (variables are dense ids).
@@ -459,7 +323,7 @@ void EvalRuleScan(const Rule& rule, const State& state, const DeltaMap& delta,
                          "assignment over unbound variables in rule for '" +
                              rule.head.pred + "'");
         }
-        std::optional<Value> r = EvalArith(lit.arith_op, *a, *b);
+        std::optional<Value> r = scalar::Apply(lit.arith_op, *a, *b);
         if (!r) return;
         if (bindings[lit.target]) {
           if (*bindings[lit.target] == *r) step(li + 1);
@@ -482,9 +346,10 @@ void EvalRuleScan(const Rule& rule, const State& state, const DeltaMap& delta,
         const Term& xt = lit.atom.terms[3];
         std::optional<Value> x = value_of(xt);
         if (x) {
-          EvalRange(*lo, *hi, *st, x, [&](const Value&) { step(li + 1); });
+          scalar::Range(*lo, *hi, *st, x,
+                        [&](const Value&) { step(li + 1); });
         } else {
-          EvalRange(*lo, *hi, *st, std::nullopt, [&](const Value& v) {
+          scalar::Range(*lo, *hi, *st, std::nullopt, [&](const Value& v) {
             bindings[xt.var] = v;
             step(li + 1);
             bindings[xt.var].reset();
@@ -586,7 +451,7 @@ RulePlan BuildPlan(const Rule& rule, int delta_index, const State& state,
     }
   };
   // True if some positive atom or assignment will bind `var` once planned.
-  // Equalities on such variables must stay filters (EvalCompare equates
+  // Equalities on such variables must stay filters (scalar::Compare equates
   // Int 1 with Float 1.0) rather than become bindings checked with
   // type-exact index hashes or tuple equality.
   auto bound_elsewhere = [&](int var) {
@@ -947,7 +812,7 @@ void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
       }
       case PlanStep::Kind::kAssign: {
         std::optional<Value> r =
-            EvalArith(lit.arith_op, value_of(lit.lhs), value_of(lit.rhs));
+            scalar::Apply(lit.arith_op, value_of(lit.lhs), value_of(lit.rhs));
         if (!r) return;
         if (bindings[lit.target]) {
           if (*bindings[lit.target] == *r) self(self, si + 1);
@@ -964,7 +829,7 @@ void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
         const Value& st = value_of(lit.atom.terms[2]);
         const Term& xt = lit.atom.terms[3];
         if (xt.is_var() && !bindings[xt.var]) {
-          EvalRange(lo, hi, st, std::nullopt, [&](const Value& v) {
+          scalar::Range(lo, hi, st, std::nullopt, [&](const Value& v) {
             bindings[xt.var] = v;
             self(self, si + 1);
             bindings[xt.var].reset();
@@ -973,7 +838,8 @@ void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
           std::optional<Value> x =
               xt.is_var() ? bindings[xt.var]
                           : std::optional<Value>(xt.constant);
-          EvalRange(lo, hi, st, x, [&](const Value&) { self(self, si + 1); });
+          scalar::Range(lo, hi, st, x,
+                        [&](const Value&) { self(self, si + 1); });
         }
         return;
       }

@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "data/value.h"
-
 #include "data/relation.h"
+#include "data/scalar.h"
+#include "data/value.h"
 
 namespace rel {
 namespace datalog {
@@ -48,11 +48,10 @@ struct Atom {
   std::vector<Term> terms;
 };
 
-/// Comparison operators for filter literals.
-enum class CmpOp { kEq, kNeq, kLt, kLe, kGt, kGe };
-
-/// Arithmetic for assignment literals: target := f(a, b).
-enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod, kMin, kMax };
+/// Comparison operators for filter literals and arithmetic for assignment
+/// literals (target := f(a, b)); their semantics is data/scalar.h.
+using scalar::ArithOp;
+using scalar::CmpOp;
 
 /// One body literal.
 struct Literal {
@@ -60,11 +59,11 @@ struct Literal {
 
   static Literal Positive(Atom a);
   static Literal Negative(Atom a);
-  /// Generator literal mirroring the Rel `range` builtin (core/builtins.cc):
-  /// x = lo, lo+step, ..., <= hi (inclusive) for bound integer bounds with
-  /// step > 0; when x is already bound it is a membership test. Non-integer
-  /// bounds or step <= 0 produce no rows — same as the builtin, no error.
-  /// lo/hi/step must be bound before the literal evaluates (kSafety
+  /// Generator literal with the Rel `range` builtin's semantics (both call
+  /// scalar::Range): x = lo, lo+step, ..., <= hi (inclusive) for bound
+  /// integer bounds with step > 0; when x is already bound it is a
+  /// membership test. Non-integer bounds or step <= 0 produce no rows, no
+  /// error. lo/hi/step must be bound before the literal evaluates (kSafety
   /// otherwise); the four terms live in atom.terms, atom.pred is "range".
   /// This is what the Rel lowering emits for `range(lo, hi, step, x)`
   /// applications, and what ParseDatalog builds for a positive `range/4`

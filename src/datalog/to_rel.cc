@@ -4,6 +4,7 @@
 #include <set>
 
 #include "base/error.h"
+#include "data/scalar.h"
 
 namespace rel {
 namespace datalog {
@@ -46,32 +47,6 @@ std::string TermToRel(const Term& term, const std::string& var_prefix) {
   return ValueToRel(term.constant);
 }
 
-const char* CmpToRel(CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq: return "=";
-    case CmpOp::kNeq: return "!=";
-    case CmpOp::kLt: return "<";
-    case CmpOp::kLe: return "<=";
-    case CmpOp::kGt: return ">";
-    case CmpOp::kGe: return ">=";
-  }
-  return "=";
-}
-
-const char* ArithToRel(ArithOp op) {
-  switch (op) {
-    case ArithOp::kAdd: return "+";
-    case ArithOp::kSub: return "-";
-    case ArithOp::kMul: return "*";
-    case ArithOp::kDiv: return "/";
-    case ArithOp::kMod: return "%";
-    case ArithOp::kMin:
-    case ArithOp::kMax:
-      break;
-  }
-  return nullptr;
-}
-
 std::string AtomToRel(const Atom& atom, const std::string& var_prefix) {
   std::string out = atom.pred + "(";
   for (size_t i = 0; i < atom.terms.size(); ++i) {
@@ -90,7 +65,7 @@ std::string LiteralToRel(const Literal& lit, const std::string& var_prefix) {
       return "not " + AtomToRel(lit.atom, var_prefix);
     case Literal::Kind::kCompare: {
       std::string cmp = TermToRel(lit.lhs, var_prefix) + " " +
-                        CmpToRel(lit.cmp_op) + " " +
+                        scalar::OpSymbol(lit.cmp_op) + " " +
                         TermToRel(lit.rhs, var_prefix);
       // A negated comparison complements the whole outcome (kUnordered
       // included), which is exactly Rel's `not (a < b)` — NOT `a >= b`.
@@ -104,7 +79,7 @@ std::string LiteralToRel(const Literal& lit, const std::string& var_prefix) {
              TermToRel(lit.atom.terms[2], var_prefix) + ", " +
              TermToRel(lit.atom.terms[3], var_prefix) + ")";
     case Literal::Kind::kAssign: {
-      const char* op = ArithToRel(lit.arith_op);
+      const char* op = scalar::OpSymbol(lit.arith_op);
       if (op) {
         return var_prefix + std::to_string(lit.target) + " = " +
                TermToRel(lit.lhs, var_prefix) + " " + op + " " +

@@ -6,6 +6,7 @@
 #include "base/error.h"
 #include "base/rng.h"
 #include "benchutil/generators.h"
+#include "data/scalar.h"
 
 namespace rel {
 namespace fuzz {
@@ -226,29 +227,6 @@ std::string RenderHead(const Rule& rule) {
   return out + ")";
 }
 
-const char* CmpText(CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq: return "=";
-    case CmpOp::kNeq: return "!=";
-    case CmpOp::kLt: return "<";
-    case CmpOp::kLe: return "<=";
-    case CmpOp::kGt: return ">";
-    case CmpOp::kGe: return ">=";
-  }
-  return "=";
-}
-
-const char* ArithText(datalog::ArithOp op) {
-  switch (op) {
-    case datalog::ArithOp::kAdd: return "+";
-    case datalog::ArithOp::kSub: return "-";
-    case datalog::ArithOp::kMul: return "*";
-    case datalog::ArithOp::kDiv: return "/";
-    case datalog::ArithOp::kMod: return "%";
-    default: return nullptr;
-  }
-}
-
 std::string RenderLiteral(const Literal& lit) {
   switch (lit.kind) {
     case Literal::Kind::kPositive:
@@ -262,10 +240,10 @@ std::string RenderLiteral(const Literal& lit) {
     case Literal::Kind::kCompare:
       InternalCheck(!lit.negated,
                     "fuzz corpus text cannot express a negated comparison");
-      return RenderTerm(lit.lhs) + " " + CmpText(lit.cmp_op) + " " +
-             RenderTerm(lit.rhs);
+      return RenderTerm(lit.lhs) + " " + scalar::OpSymbol(lit.cmp_op) +
+             " " + RenderTerm(lit.rhs);
     case Literal::Kind::kAssign: {
-      const char* op = ArithText(lit.arith_op);
+      const char* op = scalar::OpSymbol(lit.arith_op);
       InternalCheck(op != nullptr,
                     "fuzz corpus text cannot express min/max assignments");
       return "V" + std::to_string(lit.target) + " = " + RenderTerm(lit.lhs) +

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "base/error.h"
+
 namespace rel {
 namespace {
 
@@ -59,6 +63,30 @@ TEST(Builtins, ModuloAndPower) {
   EXPECT_EQ(Invoke("modulo", {I(7), I(0), std::nullopt}).size(), 0u);
   EXPECT_EQ(Invoke("power", {I(2), I(10), std::nullopt})[0][2], I(1024));
   EXPECT_EQ(Invoke("power", {F(4.0), F(0.5), std::nullopt})[0][2], F(2.0));
+  // Exact Int powers take O(log exponent) checked multiplies.
+  const Value kMaxExp = I(INT64_MAX);
+  EXPECT_EQ(Invoke("power", {I(1), kMaxExp, std::nullopt})[0][2], I(1));
+  EXPECT_EQ(Invoke("power", {I(-1), kMaxExp, std::nullopt})[0][2], I(-1));
+  EXPECT_EQ(Invoke("power", {I(0), kMaxExp, std::nullopt})[0][2], I(0));
+  EXPECT_EQ(Invoke("power", {I(2), I(62), std::nullopt})[0][2],
+            I(int64_t{1} << 62));
+  EXPECT_EQ(Invoke("power", {I(-2), I(63), std::nullopt})[0][2],
+            I(INT64_MIN));
+  try {
+    Invoke("power", {I(2), I(63), std::nullopt});
+    ADD_FAILURE() << "2^63 must overflow";
+  } catch (const RelError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kType);
+  }
+}
+
+TEST(Builtins, NegateIsChecked) {
+  EXPECT_EQ(Invoke("negate", {I(5), std::nullopt})[0][1], I(-5));
+  EXPECT_EQ(Invoke("negate", {std::nullopt, F(2.5)})[0][0], F(-2.5));
+  EXPECT_EQ(Invoke("abs", {I(-INT64_MAX), std::nullopt})[0][1], I(INT64_MAX));
+  // -INT64_MIN is outside int64: the same kType error as +, - and *.
+  EXPECT_THROW(Invoke("negate", {I(INT64_MIN), std::nullopt}), RelError);
+  EXPECT_THROW(Invoke("abs", {I(INT64_MIN), std::nullopt}), RelError);
 }
 
 TEST(Builtins, MultiplyInverseVerified) {
@@ -106,6 +134,16 @@ TEST(Builtins, RangeEnumerates) {
   EXPECT_EQ(Invoke("range", {I(1), I(5), I(2), I(4)}).size(), 0u);
   EXPECT_EQ(Invoke("range", {I(1), I(5), I(2), I(3)}).size(), 1u);
   EXPECT_FALSE(Supports("range", {true, true, false, true}));
+  // Near the int64 limit: enumeration stops before stepping past
+  // INT64_MAX, and membership is exact over the widest range.
+  out = Invoke("range", {I(INT64_MAX - 7), I(INT64_MAX), I(5), std::nullopt});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0][3], I(INT64_MAX - 7));
+  EXPECT_EQ(out[1][3], I(INT64_MAX - 2));
+  EXPECT_EQ(Invoke("range", {I(-INT64_MAX), I(INT64_MAX), I(INT64_MAX),
+                             I(INT64_MAX)})
+                .size(),
+            1u);
 }
 
 TEST(Builtins, UnaryMath) {

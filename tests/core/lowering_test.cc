@@ -298,6 +298,28 @@ TEST(Lowering, NegatedEqualityIsNotNeq) {
   EXPECT_EQ(classic.Query(source + "\ndef output : keep"), got);
 }
 
+// --- scalar semantics: one definition for both engines ------------------------
+
+TEST(Lowering, MinMaxOverStringsAndNaNMatchTheInterpreter) {
+  // minimum/maximum order any two comparable values, strings included, and
+  // give no value for unordered operands such as NaN (inf - inf). The
+  // lowered assignment must run the same kernel as the builtin.
+  const std::string strings =
+      "def s(x) : x = \"b\"\n"
+      "def s(x) : exists((y) | s(y) and rel_primitive_minimum(\"a\", y, x))";
+  EXPECT_EQ(ExpectLoweredEqualsInterp(strings, {}, "s"), 1);
+  Engine engine;
+  EXPECT_EQ(engine.Query(strings + "\ndef output : s").ToString(),
+            "{(\"a\"); (\"b\")}");
+
+  const std::string nan =
+      "def s(x) : x = 1.0\n"
+      "def s(x) : exists((y) | s(y) and "
+      "rel_primitive_maximum(1e308 * 10.0 - 1e308 * 10.0, y, x))";
+  EXPECT_EQ(ExpectLoweredEqualsInterp(nan, {}, "s"), 1);
+  EXPECT_EQ(engine.Query(nan + "\ndef output : s").ToString(), "{(1.0)}");
+}
+
 TEST(Lowering, ComputedArgumentInNegatedComparisonStillFallsBack) {
   // `not (x + 1 < 5)`: the auxiliary assignment for x + 1 would sit outside
   // the negation, so a failing arithmetic ("a" + 1) would falsify the body

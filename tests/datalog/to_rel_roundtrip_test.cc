@@ -205,6 +205,9 @@ TEST(ToRelRoundTrip, MinMaxAssignments) {
   Program p;
   p.AddFact("m", Tuple({I(3), I(8)}));
   p.AddFact("m", Tuple({I(7), I(2)}));
+  // minimum/maximum order strings too, in both engines.
+  p.AddFact("m", Tuple({Value::String("a"), Value::String("b")}));
+  p.AddFact("m", Tuple({Value::String("b"), Value::String("a")}));
   Rule lo;
   lo.head = Atom{"lo", {Term::Var(0), Term::Var(1), Term::Var(2)}};
   lo.body.push_back(Literal::Positive(Atom{"m", {Term::Var(0), Term::Var(1)}}));

@@ -329,21 +329,17 @@ std::map<std::string, std::unique_ptr<Builtin>> MakeRegistry() {
     if (v.is_float()) return Value::Float(std::fabs(v.AsFloat()));
     return std::nullopt;
   }));
-  add(new UnaryMathBuiltin("floor", [](const Value& v) -> std::optional<Value> {
-    if (!v.is_number()) return std::nullopt;
-    return Value::Int(static_cast<int64_t>(std::floor(v.AsDouble())));
+  add(new UnaryMathBuiltin("floor", [](const Value& v) {
+    return scalar::ToInt(v, std::floor, "floor");
   }));
-  add(new UnaryMathBuiltin("ceil", [](const Value& v) -> std::optional<Value> {
-    if (!v.is_number()) return std::nullopt;
-    return Value::Int(static_cast<int64_t>(std::ceil(v.AsDouble())));
+  add(new UnaryMathBuiltin("ceil", [](const Value& v) {
+    return scalar::ToInt(v, std::ceil, "ceil");
   }));
-  add(new UnaryMathBuiltin("round", [](const Value& v) -> std::optional<Value> {
-    if (!v.is_number()) return std::nullopt;
-    return Value::Int(static_cast<int64_t>(std::llround(v.AsDouble())));
+  add(new UnaryMathBuiltin("round", [](const Value& v) {
+    return scalar::ToInt(v, std::round, "round");
   }));
-  add(new UnaryMathBuiltin("int", [](const Value& v) -> std::optional<Value> {
-    if (!v.is_number()) return std::nullopt;
-    return Value::Int(static_cast<int64_t>(v.AsDouble()));
+  add(new UnaryMathBuiltin("int", [](const Value& v) {
+    return scalar::ToInt(v, std::trunc, "int");
   }));
   add(new UnaryMathBuiltin("float", [](const Value& v) -> std::optional<Value> {
     if (!v.is_number()) return std::nullopt;

@@ -79,8 +79,8 @@ class ColumnArena {
   const std::vector<uint32_t>& SortedRows() const;
 
   /// Materialized sorted tuples — the compatibility view for row-oriented
-  /// consumers (scan-strategy ablation baselines, kg layer, tests). Built
-  /// lazily; the columnar fast paths never force it.
+  /// consumers (kg layer, benches, tests). Built lazily; the columnar fast
+  /// paths never force it.
   const std::vector<Tuple>& SortedTuples() const;
 
   /// Invokes fn(TupleRef) for every row present at entry. The row count is

@@ -1,6 +1,7 @@
 #include "data/scalar.h"
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "base/error.h"
@@ -56,9 +57,27 @@ std::optional<CmpOp> CmpOpOfBuiltin(std::string_view name) {
 }
 
 void ThrowIntOverflow(int64_t a, const char* op, int64_t b) {
-  throw RelError(ErrorKind::kType, "integer overflow: " + std::to_string(a) +
-                                       " " + op + " " + std::to_string(b) +
-                                       " exceeds the int64 range");
+  ThrowIntOverflow(std::to_string(a) + " " + op + " " + std::to_string(b));
+}
+
+void ThrowIntOverflow(const std::string& expr) {
+  throw RelError(ErrorKind::kType,
+                 "integer overflow: " + expr + " exceeds the int64 range");
+}
+
+std::optional<Value> ToInt(const Value& v, double (*rounding)(double),
+                           const char* fn) {
+  if (v.is_int()) return v;
+  if (!v.is_float()) return std::nullopt;
+  // -2^63 and 2^63 are exact doubles; the negated test also rejects NaN.
+  constexpr double kLimit = 9223372036854775808.0;
+  double r = rounding(v.AsFloat());
+  if (!(r >= -kLimit && r < kLimit)) {
+    char operand[32];
+    std::snprintf(operand, sizeof operand, "%g", v.AsFloat());
+    ThrowIntOverflow(std::string(fn) + "[" + operand + "]");
+  }
+  return Value::Int(static_cast<int64_t>(r));
 }
 
 std::optional<Value> Neg(const Value& a) {

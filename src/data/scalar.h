@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "data/value.h"
@@ -43,6 +44,16 @@ std::optional<CmpOp> CmpOpOfBuiltin(std::string_view name);
 
 /// Raises RelError(kType) "integer overflow: a op b exceeds the int64 range".
 [[noreturn]] void ThrowIntOverflow(int64_t a, const char* op, int64_t b);
+/// The same error for any expression text: "integer overflow: <expr> ...".
+[[noreturn]] void ThrowIntOverflow(const std::string& expr);
+
+/// The float→int builtins (`floor`, `ceil`, `round`, `int`): an Int is
+/// returned unchanged; a Float is rounded by `rounding` and converted. NaN,
+/// ±inf and rounded values outside [-2^63, 2^63) have no int64 value and
+/// raise kType through ThrowIntOverflow, naming `fn`. Non-numbers have no
+/// value.
+std::optional<Value> ToInt(const Value& v, double (*rounding)(double),
+                           const char* fn);
 
 inline std::optional<Value> Add(const Value& a, const Value& b) {
   if (!a.is_number() || !b.is_number()) return std::nullopt;

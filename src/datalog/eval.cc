@@ -160,42 +160,14 @@ const Relation* FindDelta(const DeltaMap& delta, const std::string& pred) {
   return it == delta.end() ? nullptr : &it->second;
 }
 
-/// Materialized delta rows for the scan-strategy ablation paths.
-const std::vector<Tuple>& DeltaRows(const DeltaMap& delta,
-                                    const std::string& pred, size_t arity) {
-  static const std::vector<Tuple>* empty = new std::vector<Tuple>();
-  const Relation* rel = FindDelta(delta, pred);
-  return rel == nullptr ? *empty : rel->TuplesOfArity(arity);
-}
-
-/// Builds the head tuple and inserts it into `out` (scan-path variant).
-void EmitHead(const Rule& rule, const Bindings& bindings, Relation* out,
-              EvalStats* stats) {
-  Tuple head;
-  for (const Term& t : rule.head.terms) {
-    if (t.is_var()) {
-      if (!bindings[t.var]) {
-        throw RelError(ErrorKind::kSafety,
-                       "head variable unbound in rule for '" + rule.head.pred +
-                           "'");
-      }
-      head.Append(*bindings[t.var]);
-    } else {
-      head.Append(t.constant);
-    }
-  }
-  if (stats) ++stats->tuples_derived;
-  out->Insert(head);
-}
-
-/// Indexed-path emit: gathers the head values into the caller's reusable
-/// scratch buffer and inserts the span straight into `out`'s column arena —
-/// no per-candidate Tuple allocation. When `dedup_against` is non-null,
+/// Gathers the head values into the caller's reusable scratch buffer and
+/// inserts the span straight into `out`'s column arena — no per-candidate
+/// Tuple allocation. When `dedup_against` is non-null,
 /// tuples already in that extent are dropped at the source — the fixpoint
 /// diff happens here, with no intermediate relation and no copy-and-sort.
-void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
-                      std::vector<Value>& scratch, Relation* out,
-                      EvalStats* stats, const Relation* dedup_against) {
+void EmitHead(const Rule& rule, const Bindings& bindings,
+              std::vector<Value>& scratch, Relation* out, EvalStats* stats,
+              const Relation* dedup_against) {
   scratch.clear();
   for (const Term& t : rule.head.terms) {
     if (t.is_var()) {
@@ -217,152 +189,7 @@ void EmitHeadColumnar(const Rule& rule, const Bindings& bindings,
   out->Insert(scratch.data(), scratch.size());
 }
 
-// --- scan-based evaluation (kNaive / kSemiNaiveScan ablation baseline) -------
-
-/// Evaluates one rule by nested-loop scans; `delta_index`, when >= 0, forces
-/// that positive-atom occurrence to range over the delta relation.
-void EvalRuleScan(const Rule& rule, const State& state, const DeltaMap& delta,
-                  int delta_index, Relation* out, EvalStats* stats) {
-  Bindings bindings(static_cast<size_t>(MaxVar(rule) + 1));
-
-  std::function<void(size_t)> step = [&](size_t li) {
-    if (li == rule.body.size()) {
-      EmitHead(rule, bindings, out, stats);
-      return;
-    }
-    const Literal& lit = rule.body[li];
-    auto value_of = [&](const Term& t) -> std::optional<Value> {
-      if (!t.is_var()) return t.constant;
-      return bindings[t.var];
-    };
-    switch (lit.kind) {
-      case Literal::Kind::kPositive: {
-        bool use_delta = static_cast<int>(li) == delta_index;
-        const std::vector<Tuple>* rows =
-            use_delta
-                ? &DeltaRows(delta, lit.atom.pred, lit.atom.terms.size())
-                : &state.Full(lit.atom.pred)
-                       .TuplesOfArity(lit.atom.terms.size());
-        if (stats) {
-          bool any_bound = false;
-          for (const Term& t : lit.atom.terms) {
-            if (!t.is_var() || bindings[t.var]) {
-              any_bound = true;
-              break;
-            }
-          }
-          if (use_delta) {
-            ++stats->delta_scans;
-          } else if (any_bound) {
-            ++stats->full_scans;
-          } else {
-            ++stats->driver_scans;
-          }
-        }
-        for (const Tuple& row : *rows) {
-          bool ok = true;
-          std::vector<int> newly_bound;
-          for (size_t i = 0; i < lit.atom.terms.size() && ok; ++i) {
-            const Term& t = lit.atom.terms[i];
-            if (!t.is_var()) {
-              ok = row[i] == t.constant;
-            } else if (bindings[t.var]) {
-              ok = row[i] == *bindings[t.var];
-            } else {
-              bindings[t.var] = row[i];
-              newly_bound.push_back(t.var);
-            }
-          }
-          if (ok) step(li + 1);
-          for (int v : newly_bound) bindings[v].reset();
-        }
-        return;
-      }
-      case Literal::Kind::kNegative: {
-        Tuple probe;
-        for (const Term& t : lit.atom.terms) {
-          std::optional<Value> v = value_of(t);
-          if (!v) {
-            throw RelError(ErrorKind::kSafety,
-                           "variable in negated atom of rule for '" +
-                               rule.head.pred + "' is unbound");
-          }
-          probe.Append(*v);
-        }
-        if (!state.Full(lit.atom.pred).Contains(probe)) step(li + 1);
-        return;
-      }
-      case Literal::Kind::kCompare: {
-        std::optional<Value> a = value_of(lit.lhs);
-        std::optional<Value> b = value_of(lit.rhs);
-        if (!a || !b) {
-          // An equality with exactly one side known acts as a binding; the
-          // unknown side is necessarily a variable (constants always have a
-          // value). Handles both `V = c` and `c = V`. Negated equalities
-          // never bind — `not (V = c)` constrains, it does not produce.
-          if (lit.cmp_op == CmpOp::kEq && !lit.negated && (!a != !b)) {
-            const Term& unbound = a ? lit.rhs : lit.lhs;
-            const Value& known = a ? *a : *b;
-            bindings[unbound.var] = known;
-            step(li + 1);
-            bindings[unbound.var].reset();
-            return;
-          }
-          throw RelError(ErrorKind::kSafety,
-                         "comparison over unbound variables in rule for '" +
-                             rule.head.pred + "'");
-        }
-        if (EvalCompareLit(lit, *a, *b)) step(li + 1);
-        return;
-      }
-      case Literal::Kind::kAssign: {
-        std::optional<Value> a = value_of(lit.lhs);
-        std::optional<Value> b = value_of(lit.rhs);
-        if (!a || !b) {
-          throw RelError(ErrorKind::kSafety,
-                         "assignment over unbound variables in rule for '" +
-                             rule.head.pred + "'");
-        }
-        std::optional<Value> r = scalar::Apply(lit.arith_op, *a, *b);
-        if (!r) return;
-        if (bindings[lit.target]) {
-          if (*bindings[lit.target] == *r) step(li + 1);
-          return;
-        }
-        bindings[lit.target] = *r;
-        step(li + 1);
-        bindings[lit.target].reset();
-        return;
-      }
-      case Literal::Kind::kRange: {
-        std::optional<Value> lo = value_of(lit.atom.terms[0]);
-        std::optional<Value> hi = value_of(lit.atom.terms[1]);
-        std::optional<Value> st = value_of(lit.atom.terms[2]);
-        if (!lo || !hi || !st) {
-          throw RelError(ErrorKind::kSafety,
-                         "range bounds unbound in rule for '" +
-                             rule.head.pred + "'");
-        }
-        const Term& xt = lit.atom.terms[3];
-        std::optional<Value> x = value_of(xt);
-        if (x) {
-          scalar::Range(*lo, *hi, *st, x,
-                        [&](const Value&) { step(li + 1); });
-        } else {
-          scalar::Range(*lo, *hi, *st, std::nullopt, [&](const Value& v) {
-            bindings[xt.var] = v;
-            step(li + 1);
-            bindings[xt.var].reset();
-          });
-        }
-        return;
-      }
-    }
-  };
-  step(0);
-}
-
-// --- join planning (kSemiNaive) ----------------------------------------------
+// --- join planning -----------------------------------------------------------
 
 /// One step of a compiled rule plan.
 struct PlanStep {
@@ -717,7 +544,7 @@ void ExecPlan(const Rule& rule, const RulePlan& plan, const State& state,
 
   auto step = [&](auto&& self, size_t si) -> void {
     if (si == plan.steps.size()) {
-      EmitHeadColumnar(rule, bindings, head_buf, out, stats, dedup_against);
+      EmitHead(rule, bindings, head_buf, out, stats, dedup_against);
       return;
     }
     const PlanStep& ps = plan.steps[si];
@@ -1191,7 +1018,6 @@ void AccumulateCounters(EvalStats* into, const EvalStats& from) {
   into->index_appends += from.index_appends;
   into->sorted_builds += from.sorted_builds;
   into->index_probes += from.index_probes;
-  into->full_scans += from.full_scans;
   into->driver_scans += from.driver_scans;
   into->delta_scans += from.delta_scans;
   into->leapfrog_joins += from.leapfrog_joins;
@@ -1217,6 +1043,8 @@ constexpr size_t kMinChunkRows = 64;
 /// and the staging buffers merge into the canonical state at the round
 /// barrier — the single-writer discipline that keeps every concurrent read
 /// lock-free. Counter totals land in `out_stats` under `stats_mu`.
+/// `semi_naive` false is Strategy::kNaive: every round re-runs every rule
+/// in full (delta occurrence -1) through the same plans and the same pool.
 /// `plan_seed` is EvalOptions::plan_order_seed; `rules_base` is the start
 /// of the program's rule vector, giving every rule a stable index so the
 /// per-(rule, delta) permutation sub-seed is identical across runs (rule
@@ -1230,11 +1058,11 @@ constexpr size_t kMinChunkRows = 64;
 /// heads); later rounds revert to the standard heads-only filter. `collect`,
 /// when non-null, accumulates every tuple the unit newly added to the full
 /// extents — the downstream delta for units that depend on this one.
-void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
-              int max_iterations, uint64_t plan_seed, const Rule* rules_base,
-              State* state, IndexCache* cache, ThreadPool* pool,
-              EvalStats* out_stats, std::mutex* stats_mu,
-              const DeltaMap* seed = nullptr, DeltaMap* collect = nullptr) {
+void EvalUnit(const Unit& unit, bool semi_naive, int max_iterations,
+              uint64_t plan_seed, const Rule* rules_base, State* state,
+              IndexCache* cache, ThreadPool* pool, EvalStats* out_stats,
+              std::mutex* stats_mu, const DeltaMap* seed = nullptr,
+              DeltaMap* collect = nullptr) {
   EvalStats local;
   // Fires when max_iterations > 0 and this unit's fixpoint exceeds it — the
   // guard against value-generating recursion that never converges.
@@ -1254,7 +1082,7 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
 
   // ---- Aggregate preparation. Aggregate rules are rewritten to internal
   // "contribution rules" — same body, head extended with the witness and
-  // value terms — and run through the ordinary plan/scan machinery. Their
+  // value terms — and run through the ordinary plan machinery. Their
   // derivations land in per-group buckets instead of the extents; the dirty
   // groups refold at the round barrier (publish_round below), and a changed
   // (group..., result) row replaces the old extent row and becomes the next
@@ -1392,19 +1220,6 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
 
   // Evaluates the round's (rule, delta-occurrence) pairs into `added`.
   auto run_round = [&](const std::vector<Pair>& pairs, DeltaMap* added) {
-    if (!indexed) {
-      for (const auto& pr : pairs) {
-        const Rule* rule = pr.rule;
-        const Relation& dedup = *dedup_for(rule);
-        Relation derived;
-        EvalRuleScan(*rule, *state, delta, pr.di, &derived, &local);
-        derived.ForEach([&](const TupleRef& t) {
-          if (!dedup.Contains(t)) (*added)[rule->head.pred].Insert(t);
-        });
-      }
-      return;
-    }
-
     // Task list: one entry per (rule, delta) pair, or several when the
     // driver scan is large enough to chunk.
     struct Task {
@@ -1631,7 +1446,7 @@ void EvalUnit(const Unit& unit, bool indexed, bool semi_naive,
           pairs.push_back({rule, er.index, static_cast<int>(li)});
         }
       } else {
-        pairs.push_back({rule, er.index, -1});
+        pairs.push_back({rule, er.index, -1});  // naive: the full rule
       }
     }
     seeded_round = false;
@@ -1652,8 +1467,8 @@ std::string EvalStats::ToString() const {
      << " iterations=" << iterations << " tuples_derived=" << tuples_derived
      << " index_builds=" << index_builds << " index_appends=" << index_appends
      << " sorted_builds=" << sorted_builds
-     << " index_probes=" << index_probes << " full_scans=" << full_scans
-     << " driver_scans=" << driver_scans << " delta_scans=" << delta_scans
+     << " index_probes=" << index_probes << " driver_scans=" << driver_scans
+     << " delta_scans=" << delta_scans
      << " leapfrog_joins=" << leapfrog_joins
      << " aggregate_updates=" << aggregate_updates
      << " groups_improved=" << groups_improved << " par_tasks=" << par_tasks
@@ -1707,12 +1522,10 @@ std::map<std::string, Relation> Evaluate(const Program& program,
     max_stratum = std::max(max_stratum, st);
   }
   s->strata = max_stratum + 1;
-  const bool indexed = options.strategy == Strategy::kSemiNaive;
-  const bool semi_naive = options.strategy != Strategy::kNaive;
+  const bool semi_naive = options.strategy == Strategy::kSemiNaive;
   int num_threads = options.num_threads == 0 ? ThreadPool::HardwareThreads()
                                              : options.num_threads;
-  // The scan ablation strategies are sequential by definition.
-  const bool parallel = indexed && num_threads > 1;
+  const bool parallel = num_threads > 1;
 
   std::map<std::string, Relation> extents = program.facts();
   // Freeze the extent map's structure before anything runs: every head
@@ -1731,7 +1544,7 @@ std::map<std::string, Relation> Evaluate(const Program& program,
   const Rule* rules_base = program.rules().data();
   if (!parallel) {
     for (int u : TopoOrder(units)) {
-      EvalUnit(units[u], indexed, semi_naive, options.max_iterations,
+      EvalUnit(units[u], semi_naive, options.max_iterations,
                options.plan_order_seed, rules_base, &state, &index_cache,
                /*pool=*/nullptr, s, &stats_mu);
     }
@@ -1758,7 +1571,7 @@ std::map<std::string, Relation> Evaluate(const Program& program,
     group.Run([&, u] {
       try {
         if (!failed.load(std::memory_order_acquire)) {
-          EvalUnit(units[u], indexed, semi_naive, options.max_iterations,
+          EvalUnit(units[u], semi_naive, options.max_iterations,
                    options.plan_order_seed, rules_base, &state, &index_cache,
                    &pool, s, &stats_mu);
         }
@@ -2117,9 +1930,9 @@ DeltaResult EvaluateDelta(const Program& program,
       }
       if (seedmap.empty()) continue;
       DeltaMap collected;
-      EvalUnit(unit, /*indexed=*/true, /*semi_naive=*/true,
-               options.max_iterations, options.plan_order_seed, rules_base,
-               &state, cache, pool, s, &stats_mu, &seedmap, &collected);
+      EvalUnit(unit, /*semi_naive=*/true, options.max_iterations,
+               options.plan_order_seed, rules_base, &state, cache, pool, s,
+               &stats_mu, &seedmap, &collected);
       for (auto& [pred, rel] : collected) {
         if (rel.empty()) continue;
         s->delta_inserts += rel.size();

@@ -1,7 +1,8 @@
 // Bottom-up evaluation for the classical Datalog engine: stratified negation,
 // naive or semi-naive iteration, planned indexed joins.
 //
-// Evaluation design (the fast path, Strategy::kSemiNaive):
+// Evaluation design (both strategies share it; kNaive only drops the delta
+// restriction, re-running every rule in full each round):
 //
 //   * Planning. For every (rule, delta-occurrence) pair the evaluator builds
 //     a join plan once per stratum. The forced delta atom (if any) is placed
@@ -24,7 +25,7 @@
 //     materialized where an atom's column order disagrees with the global
 //     variable order, so the triejoin precondition always holds.
 //
-//   * Parallel evaluation. With EvalOptions::num_threads > 1 the indexed
+//   * Parallel evaluation. With EvalOptions::num_threads > 1 either
 //     strategy runs on a work-stealing ThreadPool (src/base/thread_pool.h).
 //     Rules are grouped into *units* — the strongly-connected recursion
 //     components of the predicate dependency graph, one fixpoint loop each —
@@ -55,26 +56,9 @@
 //     transform (demand goals fall back to full evaluation + goal filter)
 //     and by EvaluateDelta (supported=false; callers recompute).
 //
-// The nested-loop scan evaluator is retained behind Strategy::kNaive and
-// Strategy::kSemiNaiveScan as an ablation baseline for benchmarks; both
-// always run sequentially.
-//
-// Intended semantic differences, both consequences of the scan strategies
-// evaluating body literals in syntactic order:
-//
-//   * Safety. A comparison/negation written before the atom that binds its
-//     variables throws kSafety under the scan strategies; the planned
-//     strategy is order-independent and accepts every rule that is safe
-//     under SOME literal order.
-//
-//   * Mixed int/float equality. When `V = c` appears syntactically before
-//     the atom or assignment that produces V, the scan strategies bind V
-//     to c and later compare type-exactly (Int 5 != Float 5.0); the
-//     planned strategy always evaluates such equalities as numeric-tolerant
-//     filters after V is produced, matching what the scan strategies do
-//     when the equality is written after the producer. On programs whose
-//     values are consistently typed (or whose equalities follow their
-//     producers) all strategies agree.
+// One planner defines the semantics: a rule is accepted when it is safe
+// under SOME literal order, and the answer never depends on the order the
+// literals are written in.
 
 #ifndef REL_DATALOG_EVAL_H_
 #define REL_DATALOG_EVAL_H_
@@ -92,19 +76,18 @@ namespace datalog {
 
 class IndexCache;  // datalog/index.h
 
-/// Evaluation strategy. kSemiNaive (the default) uses planned, indexed
-/// joins; the other two are scan-based ablation baselines for benchmarks:
-/// kNaive re-derives everything each round, kSemiNaiveScan is the pre-index
-/// semi-naive nested-loop evaluator.
-enum class Strategy { kNaive, kSemiNaive, kSemiNaiveScan };
+/// Evaluation strategy. Both run the same planned, indexed joins.
+/// kSemiNaive (the default) restricts one recursive atom per rule variant to
+/// the previous round's delta; kNaive re-derives everything each round — the
+/// baseline that isolates the delta discipline, and the fuzzer's oracle.
+enum class Strategy { kNaive, kSemiNaive };
 
 /// Evaluation options.
 struct EvalOptions {
   Strategy strategy = Strategy::kSemiNaive;
-  /// Worker threads for the indexed strategy. 1 (the default) evaluates on
-  /// the calling thread with zero pool overhead; 0 means one worker per
-  /// hardware thread. The scan ablation strategies ignore this and always
-  /// run sequentially. The computed extents are identical for every value
+  /// Worker threads. 1 (the default) evaluates on the calling thread with
+  /// zero pool overhead; 0 means one worker per hardware thread. The
+  /// computed extents are identical for every value
   /// (unsorted iteration order, unspecified by contract, is the one thing
   /// that may differ).
   int num_threads = 1;
@@ -116,7 +99,7 @@ struct EvalOptions {
   /// need the same guard the Rel interpreter has. Exceeding the cap throws
   /// kNonConvergent naming the unit's head predicates.
   int max_iterations = 0;
-  /// Deterministic join-order override for the planned strategy. 0 (the
+  /// Deterministic join-order override for the planner. 0 (the
   /// default) keeps the production order — greedy by bound-column count
   /// with estimated cardinality as tie-break. Any other value permutes the
   /// positive-atom order of every plan pseudo-randomly instead (seeded per
@@ -128,7 +111,7 @@ struct EvalOptions {
   /// satisfying body assignments is order-independent); only the access-
   /// path counters (index_probes, driver_scans, index_builds) may differ.
   /// The equivalent-query fuzzer (src/fuzz) sweeps this knob to
-  /// differential-test the planner; the scan strategies ignore it.
+  /// differential-test the planner.
   uint64_t plan_order_seed = 0;
   /// Demand-driven evaluation: when set, the program is rewritten by the
   /// magic-set transform (datalog/magic.h) before unit scheduling, so the
@@ -162,15 +145,13 @@ struct EvalStats {
   uint64_t sorted_builds = 0;   // column-permuted sorted copies (re)built
                                 // by the cache for LeapfrogJoin
   uint64_t index_probes = 0;    // indexed lookups of bound-column literals
-  uint64_t full_scans = 0;      // bound-column literals evaluated by scan
-                                // (always 0 under the indexed strategy)
   uint64_t driver_scans = 0;    // unavoidable scans of all-free leading atoms
   uint64_t delta_scans = 0;     // scans of the semi-naive delta occurrence
   uint64_t leapfrog_joins = 0;  // rules routed through LeapfrogJoin
   // Aggregation (rules with an aggregate head; 0 otherwise). Both counters
-  // are deterministic across strategies in the semi-naive family and across
-  // thread counts: contributions are set-deduplicated before counting and
-  // groups refold at round barriers.
+  // are deterministic across strategies, plan seeds and thread counts:
+  // contributions are set-deduplicated before counting and groups refold at
+  // round barriers.
   uint64_t aggregate_updates = 0;  // distinct contribution rows added to
                                    // group buckets across all rounds
   uint64_t groups_improved = 0;    // group result rows created or replaced
@@ -253,10 +234,10 @@ struct DeltaResult {
 /// they are never the bulk cost. Unsupported shapes — a negative literal
 /// on a predicate transitively affected by the delta, or a demand_goal in
 /// `options` — return supported=false without touching anything.
-/// options.strategy is ignored (the planned engine is the only maintained
-/// path). Pass a persistent `cache` keyed to these extents to amortize
-/// index builds across updates (indexes extend in place on append-only
-/// growth; see index_appends).
+/// options.strategy is ignored (maintenance always resumes semi-naive).
+/// Pass a persistent `cache` keyed to these extents to amortize index
+/// builds across updates (indexes extend in place on append-only growth;
+/// see index_appends).
 DeltaResult EvaluateDelta(const Program& program,
                           const std::map<std::string, Relation>& base_facts,
                           const EdbDelta& delta,

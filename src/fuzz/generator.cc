@@ -33,7 +33,7 @@ constexpr CmpOp kCmpOps[] = {CmpOp::kEq, CmpOp::kNeq, CmpOp::kLt,
 
 /// One rule for `head_pred`. `pool` collects the variables bound by the
 /// positive atoms as they are generated, so later comparisons, negations
-/// and the head draw only from bound variables — scan-strategy safety by
+/// and the head draw only from bound variables — range restriction by
 /// construction. When `agg_op` is set the head carries head_arity - 1
 /// group columns plus an aggregate form (the extent keeps arity
 /// head_arity), with value/witness terms drawn from bound variables.

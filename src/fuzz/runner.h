@@ -7,8 +7,11 @@
 // (direct interpretation, recursion lowering, a fresh Session snapshot, the
 // same Session again with every lowered component served from its extent
 // cache, and the demand-transformed engine path) — and every answer is
-// compared against a single oracle: the naive scan evaluator, the simplest
-// code in the tree.
+// compared against a single oracle: the naive strategy, sequential, at the
+// production plan order (every rule re-run in full each round, no delta
+// discipline). The Datalog engine has one planner, so the check that does
+// not share its join code is the Rel interpreter path (rel/interp), which
+// runs on every case the oracle answers.
 //
 // Beyond answers, the runner cross-checks EvalStats between cost-equivalent
 // configurations. The invariants it enforces follow from documented
@@ -18,10 +21,10 @@
 //     index_builds, sorted_builds, index_probes, leapfrog_joins,
 //     iterations} are exactly equal (parallel evaluation is
 //     answer-and-count deterministic);
-//   * across the whole semi-naive family — the scan evaluator and every
-//     planned (seed, threads) point — iterations and tuples_derived are
-//     equal: the number of satisfying body assignments is independent of
-//     join order, and the round structure is independent of access paths;
+//   * across the whole semi-naive family — every (seed, threads) point —
+//     iterations and tuples_derived are equal: the number of satisfying
+//     body assignments is independent of join order, and the round
+//     structure is independent of access paths;
 //   * semi-naive never derives dramatically more than naive
 //     (tuples_derived ratio bound), and a demanded evaluation never derives
 //     dramatically more than the full fixpoint it prunes (magic overhead
@@ -30,10 +33,7 @@
 // A violation of any of these — or any answer mismatch, or any
 // configuration erroring while the oracle succeeds — is reported as a
 // Discrepancy. Error semantics are compared too: when the oracle itself
-// throws, every configuration must throw the same ErrorKind, with one
-// documented exception (scan strategies are syntactic-order-sensitive for
-// safety; a kSafety scan error with a succeeding planner re-anchors the
-// comparison on the planner, see eval.h "Intended semantic differences").
+// throws, every configuration must throw the same ErrorKind.
 
 #ifndef REL_FUZZ_RUNNER_H_
 #define REL_FUZZ_RUNNER_H_

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "base/error.h"
 
@@ -153,6 +155,33 @@ TEST(Builtins, UnaryMath) {
   EXPECT_EQ(Invoke("floor", {F(2.7), std::nullopt})[0][1], I(2));
   EXPECT_EQ(Invoke("ceil", {F(2.1), std::nullopt})[0][1], I(3));
   EXPECT_EQ(Invoke("round", {F(2.5), std::nullopt})[0][1], I(3));
+}
+
+TEST(Builtins, FloatToIntIsChecked) {
+  // One in-range case per builtin; Ints pass through exactly.
+  EXPECT_EQ(Invoke("floor", {F(-2.5), std::nullopt})[0][1], I(-3));
+  EXPECT_EQ(Invoke("ceil", {F(-2.5), std::nullopt})[0][1], I(-2));
+  EXPECT_EQ(Invoke("round", {F(-2.5), std::nullopt})[0][1], I(-3));
+  EXPECT_EQ(Invoke("int", {F(-2.7), std::nullopt})[0][1], I(-2));
+  EXPECT_EQ(Invoke("int", {I(INT64_MAX), std::nullopt})[0][1], I(INT64_MAX));
+  EXPECT_EQ(Invoke("floor", {F(-9223372036854775808.0), std::nullopt})[0][1],
+            I(INT64_MIN));
+  // Outside [-2^63, 2^63), or NaN/inf: no int64 value, a kType error.
+  auto expect_type_error = [](const char* name, double d) {
+    try {
+      Invoke(name, {F(d), std::nullopt});
+      ADD_FAILURE() << name << "[" << d << "] did not throw";
+    } catch (const RelError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kType) << name << "[" << d << "]";
+    }
+  };
+  expect_type_error("floor", 1e300);
+  expect_type_error("ceil", -1e300);
+  expect_type_error("int", 1e19);
+  expect_type_error("round", 1e300);
+  expect_type_error("floor", 9223372036854775808.0);
+  expect_type_error("int", std::nan(""));
+  expect_type_error("ceil", std::numeric_limits<double>::infinity());
 }
 
 TEST(Builtins, Strings) {

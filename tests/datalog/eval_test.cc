@@ -21,8 +21,7 @@ namespace {
 
 Value I(int64_t v) { return Value::Int(v); }
 
-const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive,
-                                   Strategy::kSemiNaiveScan};
+const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive};
 
 /// Evaluates `pred` under every strategy and checks the extents agree;
 /// returns the (common) result.
@@ -130,20 +129,25 @@ TEST(EvalEquivalence, MixedArityFacts) {
   EXPECT_EQ(expected_chain.ToString(), "{(1, 3)}");
 }
 
-TEST(EvalEquivalence, TriangleRuleMatchesScanAndLeapfrogFires) {
-  // The all-free self-join shape: routed through LeapfrogJoin under the
-  // indexed strategy, nested scans under the ablation strategies.
+TEST(EvalEquivalence, TriangleRuleMatchesBinaryJoinsAndLeapfrogFires) {
+  // The all-free self-join shape: routed through LeapfrogJoin at the
+  // production plan order, through binary join pipelines under any
+  // non-zero plan_order_seed.
   std::vector<Tuple> edges =
       benchutil::SkewedTriangleGraph(60, 8, /*seed=*/3);
   Relation tri = EvalAllStrategies(
       "tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).", "tri", &edges, "e");
   EXPECT_GT(tri.size(), 0u);
 
-  Program p = ParseDatalog("tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).");
-  for (const Tuple& e : edges) p.AddFact("e", e);
-  EvalStats stats;
-  EvaluatePredicate(p, "tri", Strategy::kSemiNaive, &stats);
-  EXPECT_GT(stats.leapfrog_joins, 0u);
+  for (uint64_t seed : {0ull, 7ull}) {
+    Program p = ParseDatalog("tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).");
+    for (const Tuple& e : edges) p.AddFact("e", e);
+    EvalOptions options;
+    options.plan_order_seed = seed;
+    EvalStats stats;
+    EXPECT_EQ(EvaluatePredicate(p, "tri", options, &stats), tri);
+    EXPECT_EQ(stats.leapfrog_joins > 0, seed == 0) << "seed " << seed;
+  }
 }
 
 TEST(EvalStatsCounters, IndexedTCUsesProbesNeverBoundScans) {
@@ -155,30 +159,22 @@ TEST(EvalStatsCounters, IndexedTCUsesProbesNeverBoundScans) {
   EvaluatePredicate(p, "tc", Strategy::kSemiNaive, &stats);
   EXPECT_GT(stats.index_probes, 0u);
   EXPECT_GT(stats.index_builds, 0u);
-  EXPECT_EQ(stats.full_scans, 0u);  // every bound literal goes through an index
-
-  // The scan baseline pays a full relation scan per bound literal instead.
-  Program p2 = ParseDatalog(
-      "tc(X,Y) :- edge(X,Y). tc(X,Z) :- edge(X,Y), tc(Y,Z).");
-  for (const Tuple& e : edges) p2.AddFact("edge", e);
-  EvalStats scan_stats;
-  EvaluatePredicate(p2, "tc", Strategy::kSemiNaiveScan, &scan_stats);
-  EXPECT_GT(scan_stats.full_scans, 0u);
-  EXPECT_EQ(scan_stats.index_probes, 0u);
 }
 
 TEST(EvalStatsCounters, DerivationCountsAgreeAcrossJoinOrders) {
-  // The indexed planner reorders literals; the set of satisfying
-  // assignments (and hence tuples_derived) must not change.
+  // A different join order must not change the set of satisfying
+  // assignments (and hence tuples_derived).
   std::vector<Tuple> edges = benchutil::RandomGraph(20, 50, 11);
   uint64_t derived[2];
   int i = 0;
-  for (Strategy strategy : {Strategy::kSemiNaive, Strategy::kSemiNaiveScan}) {
+  for (uint64_t seed : {0ull, 7ull}) {
     Program p = ParseDatalog(
         "tc(X,Y) :- edge(X,Y). tc(X,Z) :- edge(X,Y), tc(Y,Z).");
     for (const Tuple& e : edges) p.AddFact("edge", e);
+    EvalOptions options;
+    options.plan_order_seed = seed;
     EvalStats stats;
-    EvaluatePredicate(p, "tc", strategy, &stats);
+    EvaluatePredicate(p, "tc", options, &stats);
     derived[i++] = stats.tuples_derived;
   }
   EXPECT_EQ(derived[0], derived[1]);
@@ -232,29 +228,27 @@ TEST(CompareBinding, OutputVariableBindingStillUsableInNegation) {
 
 TEST(CompareBinding, AssignTargetEqualityKeepsNumericSemantics) {
   // X is produced by an assignment, so `X = 5` must stay a numeric filter
-  // under the planner even though it is written first; with int facts all
-  // strategies agree.
+  // even though it is written first.
   for (Strategy strategy : kAllStrategies) {
     Program p = ParseDatalog("e(4). h(X) :- X = 5, e(Y), X = Y + 1.");
     EXPECT_EQ(EvaluatePredicate(p, "h", strategy).ToString(), "{(5)}")
         << "strategy " << static_cast<int>(strategy);
+    // Mixed-type corner: the filter equates Int 5 with the computed
+    // Float 5.0, and the extent keeps the produced value.
+    Program q = ParseDatalog("e(4.0). h(X) :- X = 5, e(Y), X = Y + 1.");
+    EXPECT_EQ(EvaluatePredicate(q, "h", strategy).ToString(), "{(5.0)}")
+        << "strategy " << static_cast<int>(strategy);
   }
-  // Mixed-type corner (documented in eval.h): the planner's filter
-  // semantics equate Int 5 with the computed Float 5.0.
-  Program p = ParseDatalog("e(4.0). h(X) :- X = 5, e(Y), X = Y + 1.");
-  EXPECT_EQ(EvaluatePredicate(p, "h", Strategy::kSemiNaive).ToString(),
-            "{(5.0)}");
 }
 
-TEST(Planner, ReorderableRulesAcceptedByPlannedStrategyOnly) {
-  // Documented divergence: the planner is literal-order-independent, so a
-  // filter written before its binding atom works under kSemiNaive; the
-  // scan baselines evaluate syntactically and throw kSafety.
-  Program p = ParseDatalog("q(1). q(-2). p(X) :- X > 0, q(X).");
-  EXPECT_EQ(EvaluatePredicate(p, "p", Strategy::kSemiNaive).ToString(),
-            "{(1)}");
-  Program p2 = ParseDatalog("q(1). q(-2). p(X) :- X > 0, q(X).");
-  EXPECT_THROW(EvaluatePredicate(p2, "p", Strategy::kSemiNaiveScan), RelError);
+TEST(Planner, ReorderableRulesAcceptedByEveryStrategy) {
+  // The planner is literal-order-independent: a filter written before its
+  // binding atom is hoisted behind it.
+  for (Strategy strategy : kAllStrategies) {
+    Program p = ParseDatalog("q(1). q(-2). p(X) :- X > 0, q(X).");
+    EXPECT_EQ(EvaluatePredicate(p, "p", strategy).ToString(), "{(1)}")
+        << "strategy " << static_cast<int>(strategy);
+  }
 }
 
 TEST(CompareBinding, BothSidesUnboundStillRejected) {

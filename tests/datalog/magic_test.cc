@@ -29,8 +29,7 @@ Value I(int64_t v) { return Value::Int(v); }
 
 using Pattern = std::vector<std::optional<Value>>;
 
-const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive,
-                                   Strategy::kSemiNaiveScan};
+const Strategy kAllStrategies[] = {Strategy::kNaive, Strategy::kSemiNaive};
 
 /// Independent reference filter (deliberately not FilterByPattern): the
 /// goal-matching tuples of `extent`, via the sorted row-oriented view.

@@ -174,7 +174,6 @@ TEST(ParallelStats, AggregatedOnceAndStablePrinting) {
   EXPECT_EQ(par.index_probes, seq.index_probes);
   EXPECT_EQ(par.index_builds, seq.index_builds);
   EXPECT_EQ(par.iterations, seq.iterations);
-  EXPECT_EQ(par.full_scans, 0u);
   EXPECT_EQ(par.threads, 4);
   EXPECT_GT(par.par_tasks, 0u);
   EXPECT_GT(par.par_merges, 0u);

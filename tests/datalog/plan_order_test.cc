@@ -88,20 +88,31 @@ TEST(PlanOrderSeed, SameSeedIsReproducible) {
   EXPECT_EQ(a.tuples_derived, b.tuples_derived);
 }
 
-TEST(PlanOrderSeed, ScanStrategiesIgnoreTheKnob) {
-  for (Strategy strategy : {Strategy::kNaive, Strategy::kSemiNaiveScan}) {
-    EvalOptions plain;
-    plain.strategy = strategy;
-    EvalOptions seeded = plain;
-    seeded.plan_order_seed = 99;
-    EvalStats sp, ss;
-    std::map<std::string, Relation> rp =
-        Evaluate(BuildProgram(), plain, &sp);
-    std::map<std::string, Relation> rs =
-        Evaluate(BuildProgram(), seeded, &ss);
-    EXPECT_EQ(rp.at("tc"), rs.at("tc"));
-    EXPECT_EQ(sp.tuples_derived, ss.tuples_derived);
-    EXPECT_EQ(sp.full_scans, ss.full_scans);
+TEST(PlanOrderSeed, NaiveHonoursSeedAndThreads) {
+  // kNaive runs the same plans as kSemiNaive, so the seed and thread-count
+  // contracts hold for it too: identical extents and tuples_derived.
+  EvalOptions base;
+  base.strategy = Strategy::kNaive;
+  EvalStats base_stats;
+  std::map<std::string, Relation> reference =
+      Evaluate(BuildProgram(), base, &base_stats);
+  for (uint64_t seed : {0ull, 99ull}) {
+    for (int threads : {1, 4}) {
+      EvalOptions options = base;
+      options.plan_order_seed = seed;
+      options.num_threads = threads;
+      EvalStats stats;
+      std::map<std::string, Relation> got =
+          Evaluate(BuildProgram(), options, &stats);
+      for (const char* pred : {"tc", "tri"}) {
+        EXPECT_EQ(got.at(pred).ToString(), reference.at(pred).ToString())
+            << pred << " at seed " << seed << " threads " << threads;
+      }
+      EXPECT_EQ(stats.tuples_derived, base_stats.tuples_derived)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(stats.iterations, base_stats.iterations);
+      EXPECT_EQ(stats.threads, threads);
+    }
   }
 }
 

@@ -20,6 +20,15 @@
 //     the DRed over-delete cascade touches O(n^2/4) closure pairs, the
 //     worst case for delete maintenance (no 10x claim here; this series
 //     bounds the cost of the expensive path against full recompute).
+//   * BM_RewireCyclic_TC /
+//     BM_RewireCyclicRecompute_TC — a ring with a chord on every 7th node
+//     (one strongly connected component), rewired per iteration: one
+//     transaction deletes ring edge (3,4) and inserts (5, 5+n/3), the next
+//     undoes it. The first series maintains a warm session (DRed on a
+//     cycle: nearly all of tc is over-deleted, then re-derived through the
+//     chords); the second answers from a fresh session, i.e. recomputes.
+//     Both serve the same cone after the same commit, so their ratio is
+//     maintenance against recompute on the shape DRed finds hardest.
 //   * BM_ColdConeQuery /
 //     BM_CachedConeQuery         — a demanded cone derived fresh per
 //     iteration vs re-served and maintained in place across commits.
@@ -66,6 +75,30 @@ std::unique_ptr<Engine> ChainEngine(int n) {
   engine->Define(kTcRules);
   engine->Insert("edge", benchutil::ChainGraph(n));
   return engine;
+}
+
+/// The ring 0 -> 1 -> ... -> n-1 -> 0 plus a chord i -> i + n/2 on every
+/// 7th node.
+std::unique_ptr<Engine> CyclicEngine(int n) {
+  auto engine = std::make_unique<Engine>();
+  engine->Define(kTcRules);
+  std::vector<Tuple> edges = benchutil::CycleGraph(n);
+  for (int i = 0; i < n; i += 7) {
+    edges.push_back(Tuple({Value::Int(i), Value::Int((i + n / 2) % n)}));
+  }
+  engine->Insert("edge", edges);
+  return engine;
+}
+
+/// The two transactions a rewire toggles between: `[0]` deletes ring edge
+/// (3,4) and inserts the chord (5, 5+n/3), `[1]` undoes it.
+std::vector<std::string> RewireTransactions(int n) {
+  const std::string ring = "x = 3 and y = 4";
+  const std::string chord = "x = 5 and y = " + std::to_string(5 + n / 3);
+  return {"def delete(:edge, x, y) : " + ring +
+              "\ndef insert(:edge, x, y) : " + chord,
+          "def delete(:edge, x, y) : " + chord +
+              "\ndef insert(:edge, x, y) : " + ring};
 }
 
 /// Post-loop correctness gate: the maintained session and a fresh session
@@ -197,6 +230,48 @@ void BM_MidChainDeleteDRed_TC(benchmark::State& state) {
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
+/// A rewire of the cyclic graph maintained in a warm session: Refresh runs
+/// DRed over the rewire's delta, then the cone is served from the cache.
+void BM_RewireCyclic_TC(benchmark::State& state) {
+  int n = static_cast<int>(state.range(0));
+  std::unique_ptr<Engine> engine = CyclicEngine(n);
+  std::unique_ptr<Session> session = engine->OpenSession();
+  session->Query(kConeQuery);
+  const std::vector<std::string> rewire = RewireTransactions(n);
+  size_t k = 0;
+  for (auto _ : state) {
+    engine->Exec(rewire[k]);
+    session->Refresh();
+    Relation out = session->Query(kConeQuery);
+    benchmark::DoNotOptimize(out);
+    k ^= 1;
+  }
+  const datalog::EvalStats& stats = session->cache().maintain_stats();
+  state.counters["extent_maintained"] = benchmark::Counter(
+      static_cast<double>(session->cache().maintained()));
+  state.counters["delta_deletes"] =
+      benchmark::Counter(static_cast<double>(stats.delta_deletes));
+  state.counters["rederived"] =
+      benchmark::Counter(static_cast<double>(stats.rederived));
+  CheckMaintainedAnswer(state, engine.get(), session.get());
+}
+
+/// The same rewire answered by recomputing: a fresh session per iteration
+/// derives the tc fixpoint of the rewired graph from scratch.
+void BM_RewireCyclicRecompute_TC(benchmark::State& state) {
+  int n = static_cast<int>(state.range(0));
+  std::unique_ptr<Engine> engine = CyclicEngine(n);
+  const std::vector<std::string> rewire = RewireTransactions(n);
+  size_t k = 0;
+  for (auto _ : state) {
+    engine->Exec(rewire[k]);
+    std::unique_ptr<Session> session = engine->OpenSession();
+    Relation out = session->Query(kConeQuery);
+    benchmark::DoNotOptimize(out);
+    k ^= 1;
+  }
+}
+
 /// Demanded cone, cold: a fresh session derives tc(0, y) every iteration.
 void BM_ColdConeQuery(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -266,6 +341,10 @@ BENCHMARK(BM_SingleTupleUpdateServe_TC)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BatchedUpdate_TC)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MidChainDeleteDRed_TC)
+    ->Apply(ApplyArgs)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RewireCyclic_TC)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RewireCyclicRecompute_TC)
     ->Apply(ApplyArgs)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ColdConeQuery)->Apply(ApplyArgs)->Unit(benchmark::kMillisecond);

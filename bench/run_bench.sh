@@ -25,6 +25,11 @@
 #                          hardware deltas when the committed baseline was
 #                          recorded on a different box.
 #
+# Exit status is 1 when a bench binary exits non-zero, when a row reports
+# google-benchmark's error_occurred (a SkipWithError, which is how the
+# benches' post-loop answer checks fail), or when a --compare gate fails.
+# A bench that is not built, or whose filter matches nothing, is skipped.
+#
 # Output schema (a JSON array, one object per benchmark run):
 #   {
 #     "bench":          "BM_TC_DatalogSemiNaive/n:64/random:1",
@@ -94,11 +99,16 @@ def to_ms(value, unit):
     scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
     return value * scale.get(unit, 1e-6)
 
-rows = []
+rows, errors = [], []
 for b in raw.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
     name = b.get("name", "")
+    if b.get("error_occurred"):
+        # SkipWithError: a failed correctness check inside the bench. The
+        # row has no timing (real_time 0) and the binary still exits 0.
+        errors.append(f"{name}: {b.get('error_message', '')}")
+        continue
     n = None
     for part in name.split("/")[1:]:
         key, _, val = part.partition(":")
@@ -129,6 +139,9 @@ for b in raw.get("benchmarks", []):
 with open(out_path, "w") as f:
     json.dump(rows, f, indent=1)
     f.write("\n")
+for e in errors:
+    print(f"FAIL: {e}", file=sys.stderr)
+sys.exit(1 if errors else 0)
 EOF
 }
 
@@ -217,14 +230,23 @@ for bench in "${BENCHES[@]}"; do
   raw="$OUT_DIR/${bench}.raw.json"
   out="$OUT_DIR/BENCH_${bench#bench_}.json"
   echo "running $bench ..." >&2
-  if ! "$bin" --benchmark_format=json "${EXTRA_FLAGS[@]}" > "$raw" \
-      || [[ ! -s "$raw" ]]; then
-    echo "skip: $bench (failed or no benchmarks matched)" >&2
+  rc=0
+  "$bin" --benchmark_format=json "${EXTRA_FLAGS[@]}" > "$raw" || rc=$?
+  if [[ $rc -ne 0 ]]; then
+    # A crash or a failed check must fail the run, not read as a skip.
+    echo "FAIL: $bench exited with status $rc" >&2
+    STATUS=1
+    rm -f "$raw"
+    continue
+  fi
+  if [[ ! -s "$raw" ]]; then
+    echo "skip: $bench (no benchmarks matched)" >&2
     rm -f "$raw"
     continue
   fi
   if command -v python3 >/dev/null 2>&1; then
-    distill "$raw" "$out"
+    # distill exits 1 when a row carries error_occurred (SkipWithError).
+    distill "$raw" "$out" || STATUS=1
     rm -f "$raw"
   else
     # No python3: keep the raw google-benchmark JSON under the stable name.

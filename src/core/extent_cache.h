@@ -10,7 +10,8 @@
 //   * insert → resume semi-naive evaluation with the inserted tuples as the
 //     delta against the cached fixpoint (datalog::EvaluateDelta);
 //   * delete → DRed: over-delete everything derivable from the deleted
-//     tuples, then re-derive what has alternative support;
+//     tuples, then re-derive by seeds by point probe + semi-naive
+//     propagation;
 //   * unsupported shapes (negation over an affected predicate, wholesale
 //     Put/Drop) → the entry is dropped and the next transaction recomputes.
 //

@@ -1723,7 +1723,40 @@ DeltaResult EvaluateDelta(const Program& program,
   s->threads = pool != nullptr ? num_threads : 1;
   const Rule* rules_base = program.rules().data();
 
-  EvalStats local;  // the sequential delete phases' counters
+  EvalStats local;  // counters of the phases run here (EvalUnit adds its own)
+
+  // Semi-naive propagation shared by re-derivation and inserts: `pending`
+  // holds tuples already merged into the extents; units run in topo order,
+  // each seeded with the pending entries its bodies reference, and what a
+  // unit newly derives joins `pending` for the units downstream. Returns the
+  // number of tuples the propagation added.
+  auto propagate = [&](DeltaMap pending) -> uint64_t {
+    uint64_t added = 0;
+    for (int u : order) {
+      const Unit& unit = units[u];
+      DeltaMap seedmap;
+      for (const Rule* rule : unit.rules) {
+        for (const Literal& lit : rule->body) {
+          if (lit.kind != Literal::Kind::kPositive) continue;
+          if (seedmap.count(lit.atom.pred)) continue;
+          const Relation* p = FindDelta(pending, lit.atom.pred);
+          if (p == nullptr || p->empty()) continue;
+          seedmap[lit.atom.pred] = *p;
+        }
+      }
+      if (seedmap.empty()) continue;
+      DeltaMap collected;
+      EvalUnit(unit, /*semi_naive=*/true, options.max_iterations,
+               options.plan_order_seed, rules_base, &state, cache, pool, s,
+               &stats_mu, &seedmap, &collected);
+      for (auto& [pred, rel] : collected) {
+        if (rel.empty()) continue;
+        added += rel.size();
+        pending[pred].InsertAll(rel);
+      }
+    }
+    return added;
+  };
 
   // ---- Deletes: DRed. Phase 1, over-delete — everything with a derivation
   // through a deleted tuple, computed semi-naive style against the OLD
@@ -1797,87 +1830,65 @@ DeltaResult EvaluateDelta(const Program& program,
       for (const Tuple& t : doomed) target.Erase(t);
     }
 
-    // Phase 3, re-derivation: restore over-deleted tuples with a surviving
-    // alternative proof. Units go in topo order so a tuple's supporting
-    // predicates are already settled when it is probed; within a unit a
-    // worklist loop handles mutual recursion (restoring one tuple can
-    // re-support another). Probes pre-bind every head variable, so each
-    // check is a point lookup, not a fixpoint. Re-derived tuples need no
-    // downstream *insert* propagation: deletion never creates tuples, so
-    // anything downstream of a restored tuple was only over-deleted via
-    // this tuple and gets restored by its own unit's pass.
-    for (int u : order) {
-      const Unit& unit = units[u];
-      struct PendingDel {
-        const std::string* pred;
-        Tuple t;
-      };
-      std::vector<PendingDel> pend;
-      for (const std::string& pred : unit.heads) {
-        const Relation* d = FindDelta(del, pred);
-        if (d == nullptr) continue;
-        d->ForEach(
-            [&](const TupleRef& t) { pend.push_back({&pred, t.ToTuple()}); });
+    // Phase 3, re-derivation (Gupta, Mumick and Subrahmanian, SIGMOD'93).
+    // One pass over the over-delete set keeps the tuples that are surviving
+    // base facts or have a one-step proof in the post-removal state; probes
+    // pre-bind every head variable, so each check is a point lookup. These
+    // seeds are merged and handed to the semi-naive propagation as its first
+    // delta, which restores everything derivable from them.
+    std::map<const Rule*, RulePlan> rd_plans;
+    auto rd_plan = [&](const Rule* rule) -> const RulePlan& {
+      auto it = rd_plans.find(rule);
+      if (it == rd_plans.end()) {
+        std::vector<bool> prebound(static_cast<size_t>(MaxVar(*rule) + 1),
+                                   false);
+        for (const Term& t : rule->head.terms) {
+          if (t.is_var()) prebound[t.var] = true;
+        }
+        it = rd_plans.emplace(rule, BuildPlan(*rule, -1, state, 0, &prebound))
+                 .first;
       }
-      if (pend.empty()) continue;
-
-      std::map<const Rule*, RulePlan> rd_plans;
-      auto rd_plan = [&](const Rule* rule) -> const RulePlan& {
-        auto it = rd_plans.find(rule);
-        if (it == rd_plans.end()) {
-          std::vector<bool> prebound(static_cast<size_t>(MaxVar(*rule) + 1),
-                                     false);
-          for (const Term& t : rule->head.terms) {
-            if (t.is_var()) prebound[t.var] = true;
-          }
-          it = rd_plans.emplace(rule, BuildPlan(*rule, -1, state, 0, &prebound))
-                   .first;
-        }
-        return it->second;
-      };
-      auto is_supported = [&](const std::string& pred, const Tuple& t) {
-        auto bf = base_facts.find(pred);
-        if (bf != base_facts.end() && bf->second.Contains(t)) return true;
-        for (const Rule* rule : unit.rules) {
-          if (rule->head.pred != pred) continue;
-          if (rule->head.terms.size() != t.arity()) continue;
-          const RulePlan& plan = rd_plan(rule);
-          Bindings init(static_cast<size_t>(plan.num_vars));
-          bool ok = true;
-          for (size_t i = 0; i < rule->head.terms.size() && ok; ++i) {
-            const Term& ht = rule->head.terms[i];
-            if (!ht.is_var()) {
-              ok = ht.constant == t[i];
-            } else if (init[ht.var]) {
-              ok = *init[ht.var] == t[i];
-            } else {
-              init[ht.var] = t[i];
-            }
-          }
-          if (!ok) continue;
-          Relation out;
-          ExecPlan(*rule, plan, state, /*delta_rel=*/nullptr, cache, &out,
-                   &local, /*dedup_against=*/nullptr, 0,
-                   static_cast<size_t>(-1), &init);
-          if (!out.empty()) return true;
-        }
-        return false;
-      };
-
-      for (bool changed = true; changed;) {
-        changed = false;
-        for (auto it = pend.begin(); it != pend.end();) {
-          if (is_supported(*it->pred, it->t)) {
-            extents->at(*it->pred).Insert(it->t);
-            ++local.rederived;
-            changed = true;
-            it = pend.erase(it);
+      return it->second;
+    };
+    auto is_supported = [&](const std::string& pred, const TupleRef& t) {
+      auto bf = base_facts.find(pred);
+      if (bf != base_facts.end() && bf->second.Contains(t)) return true;
+      for (const Rule& rule : program.rules()) {
+        if (rule.head.pred != pred) continue;
+        if (rule.head.terms.size() != t.arity()) continue;
+        const RulePlan& plan = rd_plan(&rule);
+        Bindings init(static_cast<size_t>(plan.num_vars));
+        bool ok = true;
+        for (size_t i = 0; i < rule.head.terms.size() && ok; ++i) {
+          const Term& ht = rule.head.terms[i];
+          if (!ht.is_var()) {
+            ok = ht.constant == t[i];
+          } else if (init[ht.var]) {
+            ok = *init[ht.var] == t[i];
           } else {
-            ++it;
+            init[ht.var] = t[i];
           }
         }
+        if (!ok) continue;
+        Relation out;
+        ExecPlan(rule, plan, state, /*delta_rel=*/nullptr, cache, &out,
+                 &local, /*dedup_against=*/nullptr, 0, static_cast<size_t>(-1),
+                 &init);
+        if (!out.empty()) return true;
       }
+      return false;
+    };
+    DeltaMap seeds;
+    for (const auto& [pred, rel] : del) {
+      rel.ForEach([&](const TupleRef& t) {
+        if (is_supported(pred, t)) seeds[pred].Insert(t);
+      });
     }
+    for (const auto& [pred, rel] : seeds) {
+      extents->at(pred).InsertAll(rel);
+      local.rederived += rel.size();
+    }
+    local.rederived += propagate(std::move(seeds));
 
     uint64_t total_del = 0;
     for (const auto& [pred, rel] : del) {
@@ -1888,10 +1899,7 @@ DeltaResult EvaluateDelta(const Program& program,
   }
 
   // ---- Inserts: resume semi-naive with the inserted tuples as the delta
-  // against the (post-delete) fixpoint. `pending` carries the not-yet-
-  // propagated new tuples per predicate; each unit seeds from the pending
-  // entries its bodies reference and contributes its newly derived tuples
-  // back for the units downstream.
+  // against the (post-delete) fixpoint.
   DeltaMap pending;
   for (const auto& [pred, rel] : delta.inserts) {
     Relation& ext = extents->at(pred);
@@ -1905,41 +1913,9 @@ DeltaResult EvaluateDelta(const Program& program,
     extents->at(pred).InsertAll(rel);
     local.delta_inserts += rel.size();
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu);
-    AccumulateCounters(s, local);
-  }
-
-  bool any_ins = false;
-  for (const auto& [pred, rel] : pending) {
-    (void)pred;
-    if (!rel.empty()) any_ins = true;
-  }
-  if (any_ins) {
-    for (int u : order) {
-      const Unit& unit = units[u];
-      DeltaMap seedmap;
-      for (const Rule* rule : unit.rules) {
-        for (const Literal& lit : rule->body) {
-          if (lit.kind != Literal::Kind::kPositive) continue;
-          if (seedmap.count(lit.atom.pred)) continue;
-          const Relation* p = FindDelta(pending, lit.atom.pred);
-          if (p == nullptr || p->empty()) continue;
-          seedmap[lit.atom.pred] = *p;
-        }
-      }
-      if (seedmap.empty()) continue;
-      DeltaMap collected;
-      EvalUnit(unit, /*semi_naive=*/true, options.max_iterations,
-               options.plan_order_seed, rules_base, &state, cache, pool, s,
-               &stats_mu, &seedmap, &collected);
-      for (auto& [pred, rel] : collected) {
-        if (rel.empty()) continue;
-        s->delta_inserts += rel.size();
-        pending[pred].InsertAll(rel);
-      }
-    }
-  }
+  local.delta_inserts += propagate(std::move(pending));
+  std::lock_guard<std::mutex> lock(stats_mu);
+  AccumulateCounters(s, local);
   return result;
 }
 

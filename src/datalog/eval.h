@@ -166,7 +166,8 @@ struct EvalStats {
                                 // (over-deleted tuples that survived
                                 // re-derivation are in neither counter)
   uint64_t rederived = 0;       // over-deleted tuples restored by the DRed
-                                // re-derivation phase
+                                // re-derivation phase (seeds by point
+                                // probe + semi-naive propagation)
   // Demand transformation (all 0 unless EvalOptions::demand_goal is set
   // and the rewrite actually fired; set once at the top level, like strata):
   int adorned_rules = 0;        // rule variants specialized to an adornment
@@ -228,10 +229,11 @@ struct DeltaResult {
 /// Inserts resume semi-naive evaluation with the inserted tuples as the
 /// delta against the cached fixpoint, reusing the planned, indexed,
 /// parallel machinery (options.num_threads honored). Deletes run DRed:
-/// over-delete everything derivable from a deleted tuple, then re-derive
-/// what has an alternative proof (point probes with pre-bound head
-/// variables); the delete phases run sequentially — deletions shrink cones,
-/// they are never the bulk cost. Unsupported shapes — a negative literal
+/// over-delete everything derivable from a deleted tuple, then re-derive by
+/// seeds by point probe + semi-naive propagation — one pass of point probes
+/// (pre-bound head variables) keeps the over-deleted tuples with a one-step
+/// proof in the post-removal state, and those seeds run through the same
+/// semi-naive propagation as inserts. Unsupported shapes — a negative literal
 /// on a predicate transitively affected by the delta, or a demand_goal in
 /// `options` — return supported=false without touching anything.
 /// options.strategy is ignored (maintenance always resumes semi-naive).

@@ -29,7 +29,8 @@ void BM_GroupedSum_Rel(benchmark::State& state) {
         {"PaymentOrder", &w.payment_order},
         {"PaymentAmount", &w.payment_amount},
     });
-    Relation out = engine.Query(
+    auto session = engine.OpenSession();
+    Relation out = session->Query(
         "def Ord(x) : OrderProductQuantity(x,_,_)\n"
         "def OrderPaymentAmount(x,y,z) :\n"
         "  PaymentOrder(y,x) and PaymentAmount(y,z)\n"
@@ -53,11 +54,12 @@ void BM_GroupedSum_RelLowered(benchmark::State& state) {
         {"PaymentOrder", &w.payment_order},
         {"PaymentAmount", &w.payment_amount},
     });
-    Relation out = engine.Query(
+    auto session = engine.OpenSession();
+    Relation out = session->Query(
         "def OrderPaid(x, s) : s = sum[(y, z) :\n"
         "    PaymentOrder(y, x) and PaymentAmount(y, z)]\n"
         "def output : OrderPaid");
-    if (engine.last_lowering_stats().components_lowered < 1) {
+    if (session->last_lowering_stats().components_lowered < 1) {
       state.SkipWithError("grouped-sum component did not lower");
       return;
     }
@@ -95,7 +97,8 @@ void BM_CountDistinct_Rel(benchmark::State& state) {
     Engine engine;
     bench::LoadEngine(engine, 
         {{"OrderProductQuantity", &w.order_product_quantity}});
-    Relation out = engine.Query(
+    auto session = engine.OpenSession();
+    Relation out = session->Query(
         "def output : count[(p) : OrderProductQuantity(_, p, _)]");
     benchmark::DoNotOptimize(out.size());
   }

@@ -29,7 +29,8 @@ void BM_APSP_Rel(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"E", &edges}, {"V", &nodes}});
-    Relation out = engine.Query("def output : APSP[V, E]");
+    auto session = engine.OpenSession();
+    Relation out = session->Query("def output : APSP[V, E]");
     benchmark::DoNotOptimize(out.size());
     state.counters["pairs"] = static_cast<double>(out.size());
   }
@@ -43,7 +44,8 @@ void BM_APSP_RelGuarded(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"E", &edges}, {"V", &nodes}});
-    Relation out = engine.Query("def output : APSP_guarded[V, E]");
+    auto session = engine.OpenSession();
+    Relation out = session->Query("def output : APSP_guarded[V, E]");
     benchmark::DoNotOptimize(out.size());
   }
 }
@@ -77,8 +79,9 @@ void RunApspAgg(benchmark::State& state, bool lower) {
     Engine engine;
     engine.options().lower_recursion = lower;
     bench::LoadEngine(engine, {{"E", &edges}});
-    Relation out = engine.Query(kApspAggSource);
-    if (lower && engine.last_lowering_stats().components_lowered < 1) {
+    auto session = engine.OpenSession();
+    Relation out = session->Query(kApspAggSource);
+    if (lower && session->last_lowering_stats().components_lowered < 1) {
       state.SkipWithError("recursive-min component did not lower");
       return;
     }

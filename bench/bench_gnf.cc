@@ -12,7 +12,6 @@
 
 #include "benchutil/generators.h"
 #include "benchutil/reference.h"
-#include "joins/hash_join.h"
 
 namespace rel {
 namespace {
@@ -32,7 +31,7 @@ void BM_OrderTotals_GNF(benchmark::State& state) {
     // join PaymentOrder(payment, order) with PaymentAmount(payment, amount),
     // group by order.
     std::vector<Tuple> joined =
-        joins::HashJoin(w.payment_order, {0}, w.payment_amount, {0});
+        benchutil::HashJoin(w.payment_order, {0}, w.payment_amount, {0});
     // joined: (payment, order, amount) -> group on column 1.
     std::map<Value, int64_t> totals;
     for (const Tuple& t : joined) totals[t[1]] += t[2].AsInt();

@@ -101,6 +101,13 @@ std::vector<std::string> RewireTransactions(int n) {
               "\ndef insert(:edge, x, y) : " + ring};
 }
 
+/// A counter total reported per iteration: totals grow with whatever
+/// iteration count the harness picks, per-iteration values do not.
+benchmark::Counter PerIteration(uint64_t total) {
+  return benchmark::Counter(static_cast<double>(total),
+                            benchmark::Counter::kAvgIterations);
+}
+
 /// Post-loop correctness gate: the maintained session and a fresh session
 /// must serve the same cone of the final database state.
 void CheckMaintainedAnswer(benchmark::State& state, Engine* engine,
@@ -133,6 +140,7 @@ void BM_ColdRecompute_TC(benchmark::State& state) {
 void BM_SingleTupleUpdate_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
+  std::unique_ptr<Session> writer = engine->OpenSession();
   std::unique_ptr<Session> session = engine->OpenSession();
   session->Query(kConeQuery);  // warm: populates the session extent cache
   const std::string src = std::to_string(kFresh);
@@ -143,12 +151,12 @@ void BM_SingleTupleUpdate_TC(benchmark::State& state) {
       "def delete(:edge, x, y) : x = " + src + " and y = " + dst;
   bool inserting = true;
   for (auto _ : state) {
-    engine->Exec(inserting ? ins : del);
+    writer->Exec(inserting ? ins : del);
     session->Refresh();
     inserting = !inserting;
   }
-  state.counters["extent_maintained"] = benchmark::Counter(
-      static_cast<double>(session->cache().maintained()));
+  state.counters["extent_maintained"] =
+      PerIteration(session->cache().maintained());
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
@@ -158,6 +166,7 @@ void BM_SingleTupleUpdate_TC(benchmark::State& state) {
 void BM_SingleTupleUpdateServe_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
+  std::unique_ptr<Session> writer = engine->OpenSession();
   std::unique_ptr<Session> session = engine->OpenSession();
   session->Query(kConeQuery);
   const std::string src = std::to_string(kFresh);
@@ -168,14 +177,13 @@ void BM_SingleTupleUpdateServe_TC(benchmark::State& state) {
       "def delete(:edge, x, y) : x = " + src + " and y = " + dst;
   bool inserting = true;
   for (auto _ : state) {
-    engine->Exec(inserting ? ins : del);
+    writer->Exec(inserting ? ins : del);
     session->Refresh();
     Relation out = session->Query(kConeQuery);
     benchmark::DoNotOptimize(out);
     inserting = !inserting;
   }
-  state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(session->cache().hits()));
+  state.counters["cache_hits"] = PerIteration(session->cache().hits());
 }
 
 /// Batched: 8 edges from kFresh into the chain interior per transaction
@@ -184,6 +192,7 @@ void BM_SingleTupleUpdateServe_TC(benchmark::State& state) {
 void BM_BatchedUpdate_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
+  std::unique_ptr<Session> writer = engine->OpenSession();
   std::unique_ptr<Session> session = engine->OpenSession();
   session->Query(kConeQuery);
   const std::string src = std::to_string(kFresh);
@@ -195,12 +204,12 @@ void BM_BatchedUpdate_TC(benchmark::State& state) {
                           " and range(" + lo + ", " + hi + ", 1, y)";
   bool inserting = true;
   for (auto _ : state) {
-    engine->Exec(inserting ? ins : del);
+    writer->Exec(inserting ? ins : del);
     session->Refresh();
     inserting = !inserting;
   }
-  state.counters["extent_maintained"] = benchmark::Counter(
-      static_cast<double>(session->cache().maintained()));
+  state.counters["extent_maintained"] =
+      PerIteration(session->cache().maintained());
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
@@ -211,6 +220,7 @@ void BM_BatchedUpdate_TC(benchmark::State& state) {
 void BM_MidChainDeleteDRed_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
+  std::unique_ptr<Session> writer = engine->OpenSession();
   std::unique_ptr<Session> session = engine->OpenSession();
   session->Query(kConeQuery);
   const std::string a = std::to_string(n / 2);
@@ -221,12 +231,12 @@ void BM_MidChainDeleteDRed_TC(benchmark::State& state) {
       "def insert(:edge, x, y) : x = " + a + " and y = " + b;
   bool deleting = true;
   for (auto _ : state) {
-    engine->Exec(deleting ? del : ins);
+    writer->Exec(deleting ? del : ins);
     session->Refresh();
     deleting = !deleting;
   }
-  state.counters["delta_deletes"] = benchmark::Counter(static_cast<double>(
-      session->cache().maintain_stats().delta_deletes));
+  state.counters["delta_deletes"] =
+      PerIteration(session->cache().maintain_stats().delta_deletes);
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
@@ -235,24 +245,23 @@ void BM_MidChainDeleteDRed_TC(benchmark::State& state) {
 void BM_RewireCyclic_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = CyclicEngine(n);
+  std::unique_ptr<Session> writer = engine->OpenSession();
   std::unique_ptr<Session> session = engine->OpenSession();
   session->Query(kConeQuery);
   const std::vector<std::string> rewire = RewireTransactions(n);
   size_t k = 0;
   for (auto _ : state) {
-    engine->Exec(rewire[k]);
+    writer->Exec(rewire[k]);
     session->Refresh();
     Relation out = session->Query(kConeQuery);
     benchmark::DoNotOptimize(out);
     k ^= 1;
   }
   const datalog::EvalStats& stats = session->cache().maintain_stats();
-  state.counters["extent_maintained"] = benchmark::Counter(
-      static_cast<double>(session->cache().maintained()));
-  state.counters["delta_deletes"] =
-      benchmark::Counter(static_cast<double>(stats.delta_deletes));
-  state.counters["rederived"] =
-      benchmark::Counter(static_cast<double>(stats.rederived));
+  state.counters["extent_maintained"] =
+      PerIteration(session->cache().maintained());
+  state.counters["delta_deletes"] = PerIteration(stats.delta_deletes);
+  state.counters["rederived"] = PerIteration(stats.rederived);
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 
@@ -261,10 +270,11 @@ void BM_RewireCyclic_TC(benchmark::State& state) {
 void BM_RewireCyclicRecompute_TC(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = CyclicEngine(n);
+  std::unique_ptr<Session> writer = engine->OpenSession();
   const std::vector<std::string> rewire = RewireTransactions(n);
   size_t k = 0;
   for (auto _ : state) {
-    engine->Exec(rewire[k]);
+    writer->Exec(rewire[k]);
     std::unique_ptr<Session> session = engine->OpenSession();
     Relation out = session->Query(kConeQuery);
     benchmark::DoNotOptimize(out);
@@ -291,6 +301,7 @@ void BM_ColdConeQuery(benchmark::State& state) {
 void BM_CachedConeQuery(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   std::unique_ptr<Engine> engine = ChainEngine(n);
+  std::unique_ptr<Session> writer = engine->OpenSession();
   std::unique_ptr<Session> session = engine->OpenSession();
   session->options().demand_transform = true;
   session->Query(kConeQuery);
@@ -302,14 +313,14 @@ void BM_CachedConeQuery(benchmark::State& state) {
       "def delete(:edge, x, y) : x = " + src + " and y = " + dst;
   bool inserting = true;
   for (auto _ : state) {
-    engine->Exec(inserting ? ins : del);
+    writer->Exec(inserting ? ins : del);
     session->Refresh();
     Relation out = session->Query(kConeQuery);
     benchmark::DoNotOptimize(out);
     inserting = !inserting;
   }
-  state.counters["cone_maintained"] = benchmark::Counter(
-      static_cast<double>(session->cache().maintained()));
+  state.counters["cone_maintained"] =
+      PerIteration(session->cache().maintained());
 }
 
 /// Point queries against a warm session, no commits in between: each one
@@ -327,8 +338,7 @@ void BM_CachedPointQuery_TC(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
     k = (k + 1) % n;
   }
-  state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(session->cache().hits()));
+  state.counters["cache_hits"] = PerIteration(session->cache().hits());
   CheckMaintainedAnswer(state, engine.get(), session.get());
 }
 

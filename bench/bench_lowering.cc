@@ -2,7 +2,7 @@
 // before/after the Datalog-lowering pass (src/core/lowering.h).
 //
 // Series: transitive closure over chain and random graphs, written as
-// first-order recursive Rel rules and evaluated end to end by Engine::Query
+// first-order recursive Rel rules and evaluated end to end by Session::Query
 // with the lowering disabled (the tuple-at-a-time Interp saturation loop)
 // and enabled (the planned, indexed semi-naive Datalog evaluator),
 // sequentially and on a 4-worker pool. The acceptance shape: at n=128 the
@@ -60,11 +60,12 @@ void RunRelTC(benchmark::State& state, bool lower_recursion,
     bench::LoadEngine(engine, {{"E", &edges}});
     engine.options().lower_recursion = lower_recursion;
     engine.options().num_threads = num_threads;
-    Relation out = engine.Query(kTCProgram);
+    auto session = engine.OpenSession();
+    Relation out = session->Query(kTCProgram);
     benchmark::DoNotOptimize(out.size());
     state.counters["tuples"] = static_cast<double>(out.size());
     state.counters["lowered"] = static_cast<double>(
-        engine.last_lowering_stats().components_lowered);
+        session->last_lowering_stats().components_lowered);
   }
 }
 
@@ -101,7 +102,8 @@ void BM_LowerSameGen_Interp(benchmark::State& state) {
     Engine engine;
     bench::LoadEngine(engine, {{"par", &edges}});
     engine.options().lower_recursion = state.range(2) != 0;
-    Relation out = engine.Query(
+    auto session = engine.OpenSession();
+    Relation out = session->Query(
         "def sg(x,y) : exists((p) | par(p,x) and par(p,y) and x != y)\n"
         "def sg(x,y) : exists((a,b) | par(a,x) and par(b,y) and sg(a,b))\n"
         "def output : sg");

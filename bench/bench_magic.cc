@@ -145,11 +145,12 @@ void RunRelPointQuery(benchmark::State& state, bool demand_transform) {
     Engine engine;
     bench::LoadEngine(engine, {{"edge", &edges}});
     engine.options().demand_transform = demand_transform;
-    Relation out = engine.Query(kTCRelPoint);
+    auto session = engine.OpenSession();
+    Relation out = session->Query(kTCRelPoint);
     benchmark::DoNotOptimize(out.size());
     state.counters["tuples"] = static_cast<double>(out.size());
     state.counters["demanded"] = static_cast<double>(
-        engine.last_lowering_stats().components_demanded);
+        session->last_lowering_stats().components_demanded);
   }
 }
 

@@ -25,7 +25,8 @@ void BM_MatMul_Rel(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"A", &a}, {"B", &b}});
-    Relation out = engine.Query("def output : MatrixMult[A, B]");
+    auto session = engine.OpenSession();
+    Relation out = session->Query("def output : MatrixMult[A, B]");
     benchmark::DoNotOptimize(out.size());
     state.counters["nnz"] = static_cast<double>(out.size());
   }
@@ -55,7 +56,8 @@ void BM_ScalarProd_Rel(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"U", &u}, {"V", &v}});
-    Relation out = engine.Query("def output : ScalarProd[U, V]");
+    auto session = engine.OpenSession();
+    Relation out = session->Query("def output : ScalarProd[U, V]");
     benchmark::DoNotOptimize(out.size());
   }
 }

@@ -24,7 +24,8 @@ void BM_PageRank_Rel(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"G", &g}});
-    Relation out = engine.Query("def output : PageRank[G]");
+    auto session = engine.OpenSession();
+    Relation out = session->Query("def output : PageRank[G]");
     benchmark::DoNotOptimize(out.size());
     state.counters["entries"] = static_cast<double>(out.size());
   }
@@ -56,8 +57,9 @@ void RunPageRankSum(benchmark::State& state, bool lower) {
     Engine engine;
     engine.options().lower_recursion = lower;
     bench::LoadEngine(engine, {{"G", &g}});
-    Relation out = engine.Query(source);
-    if (lower && engine.last_lowering_stats().components_lowered < 1) {
+    auto session = engine.OpenSession();
+    Relation out = session->Query(source);
+    if (lower && session->last_lowering_stats().components_lowered < 1) {
       state.SkipWithError("recursive-sum component did not lower");
       return;
     }

@@ -51,7 +51,8 @@ void BM_TC_Rel(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"E", &edges}});
-    Relation out = engine.Query(
+    auto session = engine.OpenSession();
+    Relation out = session->Query(
         "def tc(x,y) : E(x,y)\n"
         "def tc(x,y) : exists((z) | E(x,z) and tc(z,y))\n"
         "def output : tc");
@@ -67,7 +68,8 @@ void BM_TC_RelStdlibTC(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"E", &edges}});
-    Relation out = engine.Query("def output : TC[E]");
+    auto session = engine.OpenSession();
+    Relation out = session->Query("def output : TC[E]");
     benchmark::DoNotOptimize(out.size());
   }
 }

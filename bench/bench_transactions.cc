@@ -22,7 +22,7 @@ void BM_InsertTxn_NoConstraints(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Engine engine;
-    TxnResult txn = engine.Exec(
+    TxnResult txn = engine.OpenSession()->Exec(
         "def insert(:Numbers, x) : range(1, " + std::to_string(n) +
         ", 1, x)");
     benchmark::DoNotOptimize(txn.inserted);
@@ -39,7 +39,7 @@ void BM_InsertTxn_WithConstraint(benchmark::State& state) {
     engine.Define(
         "ic positive_numbers() requires\n"
         "  forall((x) | Numbers(x) implies x > 0)");
-    TxnResult txn = engine.Exec(
+    TxnResult txn = engine.OpenSession()->Exec(
         "def insert(:Numbers, x) : range(1, " + std::to_string(n) +
         ", 1, x)");
     benchmark::DoNotOptimize(txn.inserted);
@@ -59,8 +59,8 @@ void BM_AbortingTxn(benchmark::State& state) {
         ")");
     bool aborted = false;
     try {
-      engine.Exec("def insert(:Numbers, x) : range(1, " + std::to_string(n) +
-                  ", 1, x)");
+      engine.OpenSession()->Exec("def insert(:Numbers, x) : range(1, " +
+                                 std::to_string(n) + ", 1, x)");
     } catch (const ConstraintViolation&) {
       aborted = true;
     }
@@ -84,7 +84,7 @@ void BM_InsertTxn_Durable(benchmark::State& state) {
       state.SkipWithError("attach failed");
       return;
     }
-    TxnResult txn = engine.Exec(
+    TxnResult txn = engine.OpenSession()->Exec(
         "def insert(:Numbers, x) : range(1, " + std::to_string(n) +
         ", 1, x)");
     benchmark::DoNotOptimize(txn.txn_id);
@@ -99,8 +99,8 @@ void BM_DeleteTxn(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     bench::LoadEngine(engine, {{"Numbers", &numbers}});
-    TxnResult txn =
-        engine.Exec("def delete(:Numbers, x) : Numbers(x) and x % 2 = 0");
+    TxnResult txn = engine.OpenSession()->Exec(
+        "def delete(:Numbers, x) : Numbers(x) and x % 2 = 0");
     benchmark::DoNotOptimize(txn.deleted);
   }
 }

@@ -45,9 +45,10 @@ std::string InsertOne(int64_t v) {
 /// Baseline: the same single-tuple transaction with no storage attached.
 void BM_Commit_InMemory(benchmark::State& state) {
   Engine engine;
+  std::unique_ptr<Session> session = engine.OpenSession();
   int64_t v = 0;
   for (auto _ : state) {
-    TxnResult txn = engine.Exec(InsertOne(++v));
+    TxnResult txn = session->Exec(InsertOne(++v));
     benchmark::DoNotOptimize(txn.inserted);
   }
   state.SetItemsProcessed(state.iterations());
@@ -64,9 +65,10 @@ void BM_Commit_Durable(benchmark::State& state) {
     state.SkipWithError("attach failed");
     return;
   }
+  std::unique_ptr<Session> session = engine.OpenSession();
   int64_t v = 0;
   for (auto _ : state) {
-    TxnResult txn = engine.Exec(InsertOne(++v));
+    TxnResult txn = session->Exec(InsertOne(++v));
     benchmark::DoNotOptimize(txn.txn_id);
   }
   state.SetItemsProcessed(state.iterations());
@@ -87,9 +89,10 @@ void BM_Commit_GroupCommit(benchmark::State& state) {
     state.SkipWithError("attach failed");
     return;
   }
+  std::unique_ptr<Session> session = engine.OpenSession();
   int64_t v = 0;
   for (auto _ : state) {
-    TxnResult txn = engine.Exec(InsertOne(++v));
+    TxnResult txn = session->Exec(InsertOne(++v));
     benchmark::DoNotOptimize(txn.txn_id);
   }
   Status s = engine.FlushWal();  // the tail group still becomes durable
@@ -116,7 +119,8 @@ void BM_RecoveryReplay(benchmark::State& state) {
       state.SkipWithError("attach failed");
       return;
     }
-    for (int i = 1; i <= n; ++i) writer.Exec(InsertOne(i));
+    std::unique_ptr<Session> session = writer.OpenSession();
+    for (int i = 1; i <= n; ++i) session->Exec(InsertOne(i));
     image = fs->FilesAsIs();
   }
   uint64_t replayed = 0;
@@ -151,7 +155,8 @@ void BM_RecoveryFromSnapshot(benchmark::State& state) {
       state.SkipWithError("attach failed");
       return;
     }
-    for (int i = 1; i <= n; ++i) writer.Exec(InsertOne(i));
+    std::unique_ptr<Session> session = writer.OpenSession();
+    for (int i = 1; i <= n; ++i) session->Exec(InsertOne(i));
     if (!writer.Checkpoint().ok()) {
       state.SkipWithError("checkpoint failed");
       return;

@@ -9,8 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include "benchutil/generators.h"
+#include "benchutil/reference.h"
 #include "datalog/eval.h"
-#include "joins/hash_join.h"
 #include "joins/leapfrog.h"
 
 namespace rel {
@@ -29,7 +29,7 @@ std::vector<Tuple> GraphFor(const benchmark::State& state) {
 void BM_Triangles_BinaryHashJoin(benchmark::State& state) {
   std::vector<Tuple> edges = GraphFor(state);
   for (auto _ : state) {
-    size_t count = joins::CountTrianglesBinaryJoin(edges);
+    size_t count = benchutil::CountTrianglesBinaryJoin(edges);
     benchmark::DoNotOptimize(count);
     state.counters["triangles"] = static_cast<double>(count);
   }
@@ -81,7 +81,7 @@ void BM_TwoWayJoin_Hash(benchmark::State& state) {
   // is specific to cyclic queries.
   std::vector<Tuple> edges = GraphFor(state);
   for (auto _ : state) {
-    auto out = joins::HashJoin(edges, {1}, edges, {0});
+    auto out = benchutil::HashJoin(edges, {1}, edges, {0});
     benchmark::DoNotOptimize(out.size());
   }
 }

@@ -22,37 +22,38 @@ int main() {
   std::vector<Tuple> nodes = rel::benchutil::NodeSet(n);
 
   Engine engine;
-  engine.Insert("E", edges);
-  engine.Insert("V", nodes);
+  auto session = engine.OpenSession();
+  session->Insert("E", edges);
+  session->Insert("V", nodes);
 
-  Relation tc = engine.Query("def output : TC[E]");
+  Relation tc = session->Query("def output : TC[E]");
   std::printf("reachable pairs:       %zu of %d\n", tc.size(), n * n);
 
-  Relation apsp = engine.Query("def output : APSP[V, E]");
+  Relation apsp = session->Query("def output : APSP[V, E]");
   std::printf("shortest-path entries: %zu\n", apsp.size());
   Relation diameter =
-      engine.Query("def output : max[(d) : APSP[V, E](_, _, d)]");
+      session->Query("def output : max[(d) : APSP[V, E](_, _, d)]");
   std::printf("graph diameter:        %s\n", diameter.ToString().c_str());
 
   // Degrees — grouped counts from the library.
-  Relation outdeg = engine.Query("def output : outdegree[E]");
-  Relation top = engine.Query("def output : Argmax[outdegree[E]]");
+  Relation outdeg = session->Query("def output : outdegree[E]");
+  Relation top = session->Query("def output : Argmax[outdegree[E]]");
   std::printf("max out-degree nodes:  %s\n", top.ToString().c_str());
   std::printf("out-degrees:           %s\n", outdeg.ToString().c_str());
 
-  Relation triangles = engine.Query("def output : triangle_count[E]");
+  Relation triangles = session->Query("def output : triangle_count[E]");
   std::printf("ordered triangles:     %s\n", triangles.ToString().c_str());
 
   // PageRank needs a column-stochastic matrix; build it in Rel itself from
   // the edge relation: G(i, j) = 1 / outdegree(j) for each edge j -> i,
   // shifted to 1-based indexes for the vector encoding of Section 5.3.2.
-  engine.Define(
+  session->Define(
       "def G(i, j, w) :\n"
       "  exists((a, b, d) | E(b, a) and i = a + 1 and j = b + 1 and\n"
       "                     outdegree[E](b, d) and w = 1.0 / d)");
-  Relation pr = engine.Query("def output : PageRank[G]");
+  Relation pr = session->Query("def output : PageRank[G]");
   std::printf("PageRank entries:      %zu\n", pr.size());
-  Relation best = engine.Query("def output : Argmax[PageRank[G]]");
+  Relation best = session->Query("def output : Argmax[PageRank[G]]");
   std::printf("top-ranked node(s):    %s\n", best.ToString().c_str());
   return 0;
 }

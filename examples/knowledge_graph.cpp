@@ -66,11 +66,12 @@ int main() {
 
   // --- 3. The semantic layer: derived concepts in Rel ------------------------
   Engine engine;
+  auto session = engine.OpenSession();
   for (const std::string& name : db.Names()) {
     std::vector<Tuple> tuples = db.Get(name).SortedTuples();
-    engine.Insert(name, tuples);
+    session->Insert(name, tuples);
   }
-  engine.Define(
+  session->Define(
       // The concept's extent, derived from the stored facts.
       "def Product(p) : ProductPrice(p, _) or ProductName(p, _)\n"
       // Derived concept: premium products (business logic as rules).
@@ -83,11 +84,11 @@ int main() {
       "def DisplayName[p in Product] : ProductName[p] <++ \"(unnamed)\"");
 
   std::printf("premium products:  %s\n",
-              engine.Query("def output : Premium").ToString().c_str());
+              session->Query("def output : Premium").ToString().c_str());
   std::printf("premium orders:    %s\n",
-              engine.Query("def output : PremiumOrder").ToString().c_str());
+              session->Query("def output : PremiumOrder").ToString().c_str());
   std::printf("display names:     %s\n",
-              engine.Query("def output : DisplayName").ToString().c_str());
+              session->Query("def output : DisplayName").ToString().c_str());
 
   // --- 4. Round-trip back to the record view ---------------------------------
   std::vector<rel::kg::WideRow> rows = ReassembleRecords(product_spec, db);

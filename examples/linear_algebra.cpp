@@ -18,33 +18,34 @@ using rel::Value;
 
 int main() {
   Engine engine;
+  auto session = engine.OpenSession();
 
   // The Section 5.3.2 worked example: u = (4,2), v = (3,6), u·v = 24.
-  engine.Define("def U {(1,4) ; (2,2)}\n"
+  session->Define("def U {(1,4) ; (2,2)}\n"
                 "def V {(1,3) ; (2,6)}");
   std::printf("u . v            = %s\n",
-              engine.Eval("ScalarProd[U, V]").ToString().c_str());
+              session->Eval("ScalarProd[U, V]").ToString().c_str());
 
   // Matrix product, matrix-vector product, transpose.
-  engine.Define(
+  session->Define(
       "def A {(1,1,1) ; (1,2,2) ; (2,1,3) ; (2,2,4)}\n"
       "def B {(1,1,5) ; (1,2,6) ; (2,1,7) ; (2,2,8)}\n"
       "def X {(1,5) ; (2,6)}");
   std::printf("A * B            = %s\n",
-              engine.Eval("MatrixMult[A, B]").ToString().c_str());
+              session->Eval("MatrixMult[A, B]").ToString().c_str());
   std::printf("A * x            = %s\n",
-              engine.Eval("MatrixVector[A, X]").ToString().c_str());
+              session->Eval("MatrixVector[A, X]").ToString().c_str());
   std::printf("transpose(A)     = %s\n",
-              engine.Eval("Transpose[A]").ToString().c_str());
+              session->Eval("Transpose[A]").ToString().c_str());
 
   // Sparsity is free: relations only store the nonzero entries, and the
   // same MatrixMult definition works for any dimensions (the data
   // independence argument from the paper's introduction).
   std::vector<Tuple> sa = rel::benchutil::SparseMatrix(20, 20, 0.15, 5);
   std::vector<Tuple> sb = rel::benchutil::SparseMatrix(20, 20, 0.15, 6);
-  engine.Insert("SA", sa);
-  engine.Insert("SB", sb);
-  Relation prod = engine.Query("def output : MatrixMult[SA, SB]");
+  session->Insert("SA", sa);
+  session->Insert("SB", sb);
+  Relation prod = session->Query("def output : MatrixMult[SA, SB]");
   std::printf("sparse 20x20: %zu x %zu nonzeros -> %zu in the product\n",
               sa.size(), sb.size(), prod.size());
 
@@ -52,7 +53,7 @@ int main() {
   std::vector<Tuple> ref = rel::benchutil::MatMulRef(sa, sb);
   size_t matches = 0;
   for (const Tuple& t : ref) {
-    Relation cell = engine.Query(
+    Relation cell = session->Query(
         "def output(v) : MatrixMult[SA, SB](" + std::to_string(t[0].AsInt()) +
         ", " + std::to_string(t[1].AsInt()) + ", v)");
     if (cell.size() == 1 &&
@@ -66,7 +67,7 @@ int main() {
 
   // Frobenius-ish norm via aggregation over an abstraction.
   std::printf("sum of squares   = %s\n",
-              engine.Eval("sum[[i, j] : A[i, j] * A[i, j]]")
+              session->Eval("sum[[i, j] : A[i, j] * A[i, j]]")
                   .ToString()
                   .c_str());
   return 0;

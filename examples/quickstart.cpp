@@ -28,34 +28,35 @@ void Show(const char* title, const Relation& r) {
 
 int main() {
   Engine engine;  // loads the Rel standard library
+  auto session = engine.OpenSession();
 
   // --- the Figure 1 database -------------------------------------------------
-  engine.Insert("PaymentOrder", {Tuple({S("Pmt1"), S("O1")}),
+  session->Insert("PaymentOrder", {Tuple({S("Pmt1"), S("O1")}),
                                  Tuple({S("Pmt2"), S("O2")}),
                                  Tuple({S("Pmt3"), S("O1")}),
                                  Tuple({S("Pmt4"), S("O3")})});
-  engine.Insert("PaymentAmount",
+  session->Insert("PaymentAmount",
                 {Tuple({S("Pmt1"), I(20)}), Tuple({S("Pmt2"), I(10)}),
                  Tuple({S("Pmt3"), I(10)}), Tuple({S("Pmt4"), I(90)})});
-  engine.Insert("OrderProductQuantity",
+  session->Insert("OrderProductQuantity",
                 {Tuple({S("O1"), S("P1"), I(2)}), Tuple({S("O1"), S("P2"), I(1)}),
                  Tuple({S("O2"), S("P1"), I(1)}), Tuple({S("O3"), S("P3"), I(4)})});
-  engine.Insert("ProductPrice",
+  session->Insert("ProductPrice",
                 {Tuple({S("P1"), I(10)}), Tuple({S("P2"), I(20)}),
                  Tuple({S("P3"), I(30)}), Tuple({S("P4"), I(40)})});
 
   // --- basic queries (Section 3.1) -------------------------------------------
   Show("orders with payments",
-       engine.Query("def output(y) : PaymentOrder(_, y)"));
+       session->Query("def output(y) : PaymentOrder(_, y)"));
   Show("unordered products",
-       engine.Query("def output(x) : ProductPrice(x,_) and "
+       session->Query("def output(x) : ProductPrice(x,_) and "
                     "not OrderProductQuantity(_,x,_)"));
   Show("expensive products",
-       engine.Query("def output(x) : exists((p) | ProductPrice(x, p) "
+       session->Query("def output(x) : exists((p) | ProductPrice(x, p) "
                     "and p > 15)"));
 
   // --- persistent model: business logic as rules (Section 5.2) ---------------
-  engine.Define(
+  session->Define(
       "def Ord(x) : OrderProductQuantity(x,_,_)\n"
       "def OrderLineAmount(o, p, a) :\n"
       "  exists((q, pr) | OrderProductQuantity(o, p, q) and\n"
@@ -65,36 +66,36 @@ int main() {
       "PaymentAmount(y,z)\n"
       "def OrderPaid[x in Ord] : sum[OrderPaymentAmount[x]] <++ 0");
 
-  Show("order totals", engine.Query("def output : OrderTotal"));
-  Show("order payments", engine.Query("def output : OrderPaid"));
+  Show("order totals", session->Query("def output : OrderTotal"));
+  Show("order payments", session->Query("def output : OrderPaid"));
   Show("open balance",
-       engine.Query("def output(o, b) : exists((t, p) | OrderTotal(o, t) and "
+       session->Query("def output(o, b) : exists((t, p) | OrderTotal(o, t) and "
                     "OrderPaid(o, p) and b = t - p and b > 0)"));
 
   // --- integrity constraints (Section 3.5) -----------------------------------
-  engine.Define(
+  session->Define(
       "ic valid_products(x) requires\n"
       "  OrderProductQuantity(_,x,_) implies ProductPrice(x,_)");
 
   // --- a transaction: close fully paid orders (Section 3.4) ------------------
-  TxnResult txn = engine.Exec(
+  TxnResult txn = session->Exec(
       "def delete (:OrderProductQuantity,x,y,z) :\n"
       "  OrderProductQuantity(x,y,z) and\n"
       "  exists( (u) | OrderPaid(x,u) and OrderTotal(x,u) )\n"
       "def insert (:ClosedOrders,x) :\n"
       "  exists( (u) | OrderPaid(x,u) and OrderTotal(x,u))");
   std::printf("transaction: +%zu / -%zu tuples\n", txn.inserted, txn.deleted);
-  Show("closed orders", engine.Base("ClosedOrders"));
+  Show("closed orders", session->Base("ClosedOrders"));
 
   // --- a violating transaction aborts and rolls back -------------------------
   try {
-    engine.Exec(
+    session->Exec(
         "def insert(:OrderProductQuantity, o, p, q) :\n"
         "  o = \"O9\" and p = \"NoSuchProduct\" and q = 1");
   } catch (const rel::ConstraintViolation& v) {
     std::printf("aborted as expected: %s\n", v.what());
   }
   Show("O9 not inserted",
-       engine.Query("def output(p) : OrderProductQuantity(\"O9\", p, _)"));
+       session->Query("def output(p) : OrderProductQuantity(\"O9\", p, _)"));
   return 0;
 }

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "base/error.h"
@@ -62,6 +63,9 @@ int RunServer(rel::Engine* engine, int port, int workers) {
 }
 
 int RunInteractive(rel::Engine* engine) {
+  // One session for the whole interaction: its own writes re-pin it, so
+  // every line reads the state the previous lines committed.
+  std::unique_ptr<rel::Session> session = engine->OpenSession();
   std::string line;
   std::printf("rel-cpp — type an expression, a def/ic, 'exec <rules>',\n"
               "or :quit. The standard library is loaded.\n");
@@ -74,16 +78,16 @@ int RunInteractive(rel::Engine* engine) {
     try {
       if (line.rfind("def ", 0) == 0 || line.rfind("ic ", 0) == 0 ||
           line.rfind("@inline", 0) == 0) {
-        engine->Define(line);
+        session->Define(line);
         std::printf("ok (%zu rules installed)\n", engine->installed_rules());
       } else if (line.rfind("exec ", 0) == 0) {
-        rel::TxnResult txn = engine->Exec(line.substr(5));
+        rel::TxnResult txn = session->Exec(line.substr(5));
         std::printf("+%zu / -%zu\n", txn.inserted, txn.deleted);
         if (!txn.output.empty()) {
           std::printf("%s\n", txn.output.ToString().c_str());
         }
       } else {
-        std::printf("%s\n", engine->Eval(line).ToString().c_str());
+        std::printf("%s\n", session->Eval(line).ToString().c_str());
       }
     } catch (const rel::RelError& e) {
       std::printf("error: %s\n", e.what());

@@ -16,9 +16,10 @@ using rel::Relation;
 
 int main() {
   Engine engine;
+  auto session = engine.OpenSession();
 
   // --- facts: parts, bill of materials, costs, stock -------------------------
-  engine.Define(R"rel(
+  session->Define(R"rel(
     // BOM(parent, component, quantity): a bike needs 2 wheels and 1 frame;
     // a wheel needs 32 spokes and 1 rim; the frame needs 2 tubes.
     def BOM {("bike", "wheel", 2) ; ("bike", "frame", 1) ;
@@ -33,7 +34,7 @@ int main() {
   )rel");
 
   // --- derived logic ----------------------------------------------------------
-  engine.Define(R"rel(
+  session->Define(R"rel(
     // Transitive where-used / requires relations via the stdlib TC.
     def ComponentEdge(p, c) : BOM(p, c, _)
     def Requires(p, c) : TC[ComponentEdge](p, c)
@@ -53,49 +54,49 @@ int main() {
   )rel");
 
   // --- constraints -------------------------------------------------------------
-  engine.Define(R"rel(
+  session->Define(R"rel(
     ic stock_non_negative(p, s) requires Stock(p, s) implies s >= 0
     ic atomic_costs(p) requires BaseCost(p, _) implies Atomic(p)
   )rel");
 
   std::printf("unit costs:   %s\n",
-              engine.Query("def output : UnitCost").ToString().c_str());
+              session->Query("def output : UnitCost").ToString().c_str());
   std::printf("bike needs:   %s\n",
-              engine.Query("def output(c) : Requires(\"bike\", c)")
+              session->Query("def output(c) : Requires(\"bike\", c)")
                   .ToString()
                   .c_str());
 
   // No stock yet: everything is blocked.
   std::printf("buildable:    %s\n",
-              engine.Query("def output : Buildable").ToString().c_str());
+              session->Query("def output : Buildable").ToString().c_str());
 
   // --- receive stock (a transaction) ------------------------------------------
-  engine.Exec(R"rel(
+  session->Exec(R"rel(
     def insert(:Stock, p, s) :
         {("spoke", 64) ; ("rim", 2) ; ("tube", 2)}(p, s)
   )rel");
   std::printf("after goods receipt, buildable: %s\n",
-              engine.Query("def output : Buildable").ToString().c_str());
+              session->Query("def output : Buildable").ToString().c_str());
 
   // --- consume stock for one wheel ---------------------------------------------
-  engine.Exec(R"rel(
+  session->Exec(R"rel(
     def delete(:Stock, p, s) : Stock(p, s) and BOM("wheel", p, _)
     def insert(:Stock, p, s2) :
         exists((s, q) | Stock(p, s) and BOM("wheel", p, q) and s2 = s - q)
   )rel");
   std::printf("stock after building a wheel:   %s\n",
-              engine.Query("def output : Stock").ToString().c_str());
+              session->Query("def output : Stock").ToString().c_str());
 
   // --- a violating transaction aborts ------------------------------------------
   try {
-    engine.Exec(
+    session->Exec(
         "def delete(:Stock, p, s) : Stock(p, s) and p = \"rim\"\n"
         "def insert(:Stock, p, s) : p = \"rim\" and s = -5");
   } catch (const rel::ConstraintViolation& v) {
     std::printf("negative stock rejected: %s\n", v.what());
   }
   std::printf("rim stock intact:                %s\n",
-              engine.Query("def output(s) : Stock(\"rim\", s)")
+              session->Query("def output(s) : Stock(\"rim\", s)")
                   .ToString()
                   .c_str());
   return 0;

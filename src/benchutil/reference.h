@@ -41,6 +41,21 @@ std::map<Value, int64_t> GroupSumRef(const std::vector<Tuple>& rows);
 /// Brute-force ordered triangle count: E(x,y), E(y,z), E(z,x).
 size_t CountTrianglesRef(const std::vector<Tuple>& edges);
 
+/// Binary hash equi-join, the conventional join the paper's
+/// worst-case-optimal-join discussion compares against (Section 7): emits
+/// left ⋈ right on left[left_keys[i]] == right[right_keys[i]] as the
+/// concatenation of the left tuple with the non-key columns of the right
+/// tuple, in left-major order.
+std::vector<Tuple> HashJoin(const std::vector<Tuple>& left,
+                            const std::vector<size_t>& left_keys,
+                            const std::vector<Tuple>& right,
+                            const std::vector<size_t>& right_keys);
+
+/// Ordered triangle count with the binary-join plan (E ⋈ E) ⋈ E. The
+/// intermediate (E ⋈ E) result is materialized, which is exactly the
+/// weakness worst-case optimal joins avoid.
+size_t CountTrianglesBinaryJoin(const std::vector<Tuple>& edges);
+
 }  // namespace benchutil
 }  // namespace rel
 

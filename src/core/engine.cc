@@ -151,37 +151,6 @@ void Engine::DefineLocked(const std::string& source, bool internal) {
   rules_analysis_ = std::make_shared<const ProgramAnalysis>(*rules_);
 }
 
-// --- the single-session facade ---
-
-Session& Engine::FacadeSession() {
-  if (facade_ == nullptr) {
-    facade_ = std::unique_ptr<Session>(
-        new Session(this, SnapshotNow(), options_));
-  }
-  return *facade_;
-}
-
-Relation Engine::Query(const std::string& source) {
-  Session& session = FacadeSession();
-  session.options_ = options_;
-  session.Refresh();
-  Relation out = session.Query(source);
-  lowering_stats_ = session.lowering_stats_;
-  return out;
-}
-
-Relation Engine::Eval(const std::string& expression) {
-  return Query("def output : " + expression);
-}
-
-TxnResult Engine::Exec(const std::string& source) {
-  Session& session = FacadeSession();
-  session.options_ = options_;
-  TxnResult result = session.Exec(source);
-  lowering_stats_ = session.lowering_stats_;
-  return result;
-}
-
 void Engine::Insert(const std::string& name, const std::vector<Tuple>& tuples) {
   ApplyBulk(name, tuples, /*is_insert=*/true, nullptr);
 }
@@ -542,13 +511,9 @@ bool Engine::CheckConstraintsWith(Interp* interp, const InterpOptions& opts,
 
 // --- reads over the newest snapshot ---
 
-const Database& Engine::db() const {
-  std::lock_guard<std::mutex> lock(head_mu_);
-  return *head_->db;
-}
-
 const Relation& Engine::Base(const std::string& name) const {
-  return db().Get(name);
+  std::lock_guard<std::mutex> lock(head_mu_);
+  return head_->db->Get(name);
 }
 
 size_t Engine::installed_rules() const { return SnapshotNow()->rules->size(); }

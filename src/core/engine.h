@@ -18,20 +18,17 @@
 //     head (a cheap copy-on-write re-copy) and publishes nothing — readers
 //     cannot observe a state that was not committed.
 //
-// Each Exec()/Query() runs one *transaction* (Section 3.4): rules in the
+// Reads and transactions go through a Session (OpenSession()). Each
+// Session::Exec/Query runs one *transaction* (Section 3.4): rules in the
 // source are in effect for that transaction only; the computed `output`
-// relation is returned; for Exec(), the control relations `insert` and
+// relation is returned; for Exec, the control relations `insert` and
 // `delete` are applied and all integrity constraints are checked against
-// the post-state — a violation aborts and rolls back (Section 3.5).
+// the post-state — a violation aborts and rolls back (Section 3.5). The
+// Engine itself keeps only the session-free writes (Define, Insert,
+// DeleteTuples), constraint checking and durability.
 //
 // Lock order: writer_mu_ before head_mu_. head_mu_ guards only the head
 // pointer swap/read; it is never held during evaluation.
-//
-// The Engine's own Query/Exec/... methods are a single-session facade over
-// an internal auto-refreshing session — the pre-PR-7 API, kept so that
-// embedders (and ~everything in tests/) need no session plumbing. The
-// facade is NOT thread-safe; concurrent callers must open their own
-// sessions.
 
 #ifndef REL_CORE_ENGINE_H_
 #define REL_CORE_ENGINE_H_
@@ -78,10 +75,10 @@ class Engine {
 
   // --- sessions & snapshots ---
 
-  /// Opens a new session pinned to the current head snapshot. Sessions may
-  /// be used concurrently with each other and with this engine's facade
-  /// methods; each individual session is single-threaded. The session must
-  /// not outlive the engine.
+  /// Opens a new session pinned to the current head snapshot, with a copy
+  /// of options(). Sessions may be used concurrently with each other and
+  /// with this engine's write methods; each individual session is
+  /// single-threaded. The session must not outlive the engine.
   std::unique_ptr<Session> OpenSession();
 
   /// The currently-published snapshot. Pinning it (keeping the shared_ptr)
@@ -89,25 +86,12 @@ class Engine {
   /// commits.
   std::shared_ptr<const Snapshot> SnapshotNow() const;
 
-  // --- single-session facade (not thread-safe; see header comment) ---
+  // --- session-free writes ---
 
   /// Installs persistent rules and integrity constraints ("the model")
   /// engine-wide; all sessions see them on their next refresh/write.
   /// Throws ParseError on bad syntax.
   void Define(const std::string& source);
-
-  /// Runs `source` as a read-only query against the newest snapshot:
-  /// evaluates and returns `output`. insert/delete rules are not applied.
-  Relation Query(const std::string& source);
-
-  /// Evaluates a single expression (e.g. "TC[{(1,2);(2,3)}]") — sugar for
-  /// Query("def output : " + expression).
-  Relation Eval(const std::string& expression);
-
-  /// Runs `source` as a full transaction through the commit pipeline;
-  /// returns output and the applied update counts. Throws
-  /// ConstraintViolation (and rolls back) if an integrity constraint fails.
-  TxnResult Exec(const std::string& source);
 
   /// Programmatic base-relation updates (bulk loading), through the same
   /// WAL-first pipeline. Integrity constraints are not checked here; call
@@ -158,21 +142,12 @@ class Engine {
   /// The reference stays valid until the next commit.
   const Relation& Base(const std::string& name) const;
 
-  /// The newest snapshot's database; the reference stays valid until the
-  /// next commit. Sessions wanting a stable view should pin a snapshot.
-  const Database& db() const;
-
   /// Evaluation limits and toggles (iteration caps, num_threads, the
   /// lower_recursion / demand_transform evaluation-path switches). Applied
-  /// to facade calls and to writer-side constraint checking; sessions get a
-  /// copy at OpenSession() and keep their own.
+  /// to Engine::CheckConstraints and the bulk writes' cache maintenance;
+  /// sessions get a copy at OpenSession() and keep their own, so a change
+  /// here does not reach an already-open session.
   InterpOptions& options() { return options_; }
-
-  /// Recursion-lowering counters from the most recent facade
-  /// Query/Eval/Exec (the transaction's main Interp; sibling
-  /// constraint-checking Interps are not aggregated). Useful for tests and
-  /// benchmarks asserting which evaluation path a recursive component took.
-  const LoweringStats& last_lowering_stats() const { return lowering_stats_; }
 
   /// Number of installed persistent rules (stdlib + Define'd).
   size_t installed_rules() const;
@@ -240,10 +215,6 @@ class Engine {
   /// head (a shared copy-on-write copy — O(#relations)).
   void RollbackToHead();
 
-  /// The facade's internal session (created on first use, re-pinned and
-  /// re-optioned per call).
-  Session& FacadeSession();
-
   // Published head. head_mu_ guards only the pointer; never held during
   // evaluation or I/O.
   mutable std::mutex head_mu_;
@@ -287,10 +258,6 @@ class Engine {
   IcStats ic_stats_;
 
   InterpOptions options_;
-  LoweringStats lowering_stats_;
-  /// Facade session; declared last so it dies before the state it points
-  /// into.
-  std::unique_ptr<Session> facade_;
 };
 
 /// The Rel source text of the standard library (aggregates, relational

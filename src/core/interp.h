@@ -103,7 +103,7 @@ struct InterpOptions {
 datalog::EvalOptions LoweredEvalOptions(const InterpOptions& options);
 
 /// Counters for the recursion-lowering pass, exposed per Interp (and copied
-/// to Engine::last_lowering_stats() after each transaction).
+/// to Session::last_lowering_stats() after each transaction).
 struct LoweringStats {
   int components_lowered = 0;   // SCCs evaluated by the Datalog engine
   int components_rejected = 0;  // monotone SCCs outside the Datalog fragment

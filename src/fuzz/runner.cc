@@ -253,29 +253,30 @@ class CaseRunner {
       CompareAnswers(ref, out);
     };
 
-    engine.options().lower_recursion = false;
-    query_all("rel/interp",
-              [&](const std::string& q) { return engine.Query(q); });
-
-    engine.options().lower_recursion = true;
-    query_all("rel/lowered",
-              [&](const std::string& q) { return engine.Query(q); });
-
-    if (!opts_.plan_seeds.empty()) {
-      engine.options().plan_order_seed = opts_.plan_seeds.front();
-      query_all("rel/lowered/s" + std::to_string(opts_.plan_seeds.front()),
-                [&](const std::string& q) { return engine.Query(q); });
-      engine.options().plan_order_seed = 0;
-    }
-
-    {
+    // Every config gets a fresh session, so no pass is served from the
+    // extent cache another config filled; only rel/lowered/warm re-queries
+    // a session on purpose.
+    auto query_fresh = [&](const std::string& label, bool lower,
+                           uint64_t plan_order_seed) {
       auto session = engine.OpenSession();
-      query_all("rel/session",
+      session->options().lower_recursion = lower;
+      session->options().plan_order_seed = plan_order_seed;
+      query_all(label,
                 [&](const std::string& q) { return session->Query(q); });
+      return session;
+    };
+
+    query_fresh("rel/interp", /*lower=*/false, 0);
+    {
+      auto session = query_fresh("rel/lowered", /*lower=*/true, 0);
       // The same session again: every lowered component is now an extent
       // cache hit, so this pass checks the borrowed cached extents.
-      query_all("rel/session/warm",
+      query_all("rel/lowered/warm",
                 [&](const std::string& q) { return session->Query(q); });
+    }
+    if (!opts_.plan_seeds.empty()) {
+      query_fresh("rel/lowered/s" + std::to_string(opts_.plan_seeds.front()),
+                  /*lower=*/true, opts_.plan_seeds.front());
     }
 
     RunRelDemand(ref, engine);
@@ -322,11 +323,12 @@ class CaseRunner {
       want.Insert(proj);
     }
 
-    engine.options().demand_transform = true;
-    engine.options().lower_recursion = true;
+    auto session = engine.OpenSession();
+    session->options().demand_transform = true;
+    session->options().lower_recursion = true;
     ++result_.configs_run;
     try {
-      Relation have = engine.Query(query);
+      Relation have = session->Query(query);
       if (have != want) {
         Report("rel/demand", "answer",
                c_.goal->pred + " via `" + query + "`: " +
@@ -337,7 +339,6 @@ class CaseRunner {
              std::string("threw ") + ErrorKindName(e.kind()) + " (" +
                  e.what() + ") on `" + query + "`");
     }
-    engine.options().demand_transform = false;
   }
 
   /// Cross-config EvalStats invariants. Only meaningful when every config

@@ -38,20 +38,22 @@ int ExpectLoweredEqualsInterp(const std::string& source,
                               const std::vector<Tuple>& edges,
                               const std::string& pred,
                               int num_threads = 1) {
-  Engine classic;
-  classic.options().lower_recursion = false;
-  classic.Insert("edge", edges);
-  Relation expected = classic.Query(source + "\ndef output : " + pred);
-  EXPECT_EQ(classic.last_lowering_stats().components_lowered, 0);
+  Engine classic_engine;
+  auto classic = classic_engine.OpenSession();
+  classic->options().lower_recursion = false;
+  classic->Insert("edge", edges);
+  Relation expected = classic->Query(source + "\ndef output : " + pred);
+  EXPECT_EQ(classic->last_lowering_stats().components_lowered, 0);
 
-  Engine lowered;
-  lowered.options().num_threads = num_threads;
-  lowered.Insert("edge", edges);
-  Relation got = lowered.Query(source + "\ndef output : " + pred);
+  Engine lowered_engine;
+  auto lowered = lowered_engine.OpenSession();
+  lowered->options().num_threads = num_threads;
+  lowered->Insert("edge", edges);
+  Relation got = lowered->Query(source + "\ndef output : " + pred);
   EXPECT_EQ(expected, got) << "extent diverges for '" << pred << "'";
   EXPECT_EQ(expected.ToString(), got.ToString())
       << "sorted rendering not byte-identical for '" << pred << "'";
-  return lowered.last_lowering_stats().components_lowered;
+  return lowered->last_lowering_stats().components_lowered;
 }
 
 const char kTC[] =
@@ -122,19 +124,21 @@ TEST(Lowering, DerivedExternalExtentIsMaterialized) {
 TEST(Lowering, BaseFactsUnionWithLoweredRules) {
   // A member name holding base tuples *and* rules: the stored facts seed
   // the Datalog program and survive into the extent.
-  Engine lowered;
-  lowered.Insert("edge", {Tuple({I(1), I(2)})});
-  lowered.Insert("tc", {Tuple({I(7), I(8)})});
-  Relation got = lowered.Query(std::string(kTC) + "\ndef output : tc");
-  EXPECT_EQ(lowered.last_lowering_stats().components_lowered, 1);
+  Engine lowered_engine;
+  auto lowered = lowered_engine.OpenSession();
+  lowered->Insert("edge", {Tuple({I(1), I(2)})});
+  lowered->Insert("tc", {Tuple({I(7), I(8)})});
+  Relation got = lowered->Query(std::string(kTC) + "\ndef output : tc");
+  EXPECT_EQ(lowered->last_lowering_stats().components_lowered, 1);
   EXPECT_TRUE(got.Contains(Tuple({I(7), I(8)})));
   EXPECT_TRUE(got.Contains(Tuple({I(1), I(2)})));
 
-  Engine classic;
-  classic.options().lower_recursion = false;
-  classic.Insert("edge", {Tuple({I(1), I(2)})});
-  classic.Insert("tc", {Tuple({I(7), I(8)})});
-  EXPECT_EQ(classic.Query(std::string(kTC) + "\ndef output : tc"), got);
+  Engine classic_engine;
+  auto classic = classic_engine.OpenSession();
+  classic->options().lower_recursion = false;
+  classic->Insert("edge", {Tuple({I(1), I(2)})});
+  classic->Insert("tc", {Tuple({I(7), I(8)})});
+  EXPECT_EQ(classic->Query(std::string(kTC) + "\ndef output : tc"), got);
 }
 
 // --- fallback: non-qualifying components stay on the Interp path -------------
@@ -143,12 +147,13 @@ TEST(Lowering, ReplacementComponentsAreNotAttempted) {
   // Non-monotone self-reference uses replacement iteration; the lowering
   // must not even try (UsesReplacement gates it before translation).
   Engine engine;
-  engine.Insert("edge", {Tuple({I(1), I(2)})});
-  Relation out = engine.Query(
+  auto session = engine.OpenSession();
+  session->Insert("edge", {Tuple({I(1), I(2)})});
+  Relation out = session->Query(
       "def winning(x) : exists((y) | edge(x, y) and not winning(y))\n"
       "def output : winning");
-  EXPECT_EQ(engine.last_lowering_stats().components_lowered, 0);
-  EXPECT_EQ(engine.last_lowering_stats().components_rejected, 0);
+  EXPECT_EQ(session->last_lowering_stats().components_lowered, 0);
+  EXPECT_EQ(session->last_lowering_stats().components_rejected, 0);
   EXPECT_EQ(out.ToString(), "{(1)}");
 }
 
@@ -159,16 +164,18 @@ TEST(Lowering, DisjunctionLowersViaDnfSplit) {
   std::vector<Tuple> edges = benchutil::RandomGraph(10, 20, 17);
   // Disjunctive bodies are split into one Datalog rule per DNF branch, so
   // the component stays on the fast path.
-  Engine lowered;
-  lowered.Insert("edge", edges);
-  Relation got = lowered.Query(source + "\ndef output : r");
-  EXPECT_EQ(lowered.last_lowering_stats().components_lowered, 1);
-  EXPECT_EQ(lowered.last_lowering_stats().components_rejected, 0);
+  Engine lowered_engine;
+  auto lowered = lowered_engine.OpenSession();
+  lowered->Insert("edge", edges);
+  Relation got = lowered->Query(source + "\ndef output : r");
+  EXPECT_EQ(lowered->last_lowering_stats().components_lowered, 1);
+  EXPECT_EQ(lowered->last_lowering_stats().components_rejected, 0);
 
-  Engine classic;
-  classic.options().lower_recursion = false;
-  classic.Insert("edge", edges);
-  EXPECT_EQ(classic.Query(source + "\ndef output : r"), got);
+  Engine classic_engine;
+  auto classic = classic_engine.OpenSession();
+  classic->options().lower_recursion = false;
+  classic->Insert("edge", edges);
+  EXPECT_EQ(classic->Query(source + "\ndef output : r"), got);
 }
 
 TEST(Lowering, DnfOverflowFallsBackToInterp) {
@@ -180,38 +187,42 @@ TEST(Lowering, DnfOverflowFallsBackToInterp) {
   for (int i = 0; i < 5; ++i) source += " and " + body;
   source += "\ndef r(x, z) : exists((y) | r(x, y) and r(y, z))";
   std::vector<Tuple> edges = benchutil::RandomGraph(8, 16, 3);
-  Engine lowered;
-  lowered.Insert("edge", edges);
-  Relation got = lowered.Query(source + "\ndef output : r");
-  EXPECT_EQ(lowered.last_lowering_stats().components_lowered, 0);
-  EXPECT_EQ(lowered.last_lowering_stats().components_rejected, 1);
+  Engine lowered_engine;
+  auto lowered = lowered_engine.OpenSession();
+  lowered->Insert("edge", edges);
+  Relation got = lowered->Query(source + "\ndef output : r");
+  EXPECT_EQ(lowered->last_lowering_stats().components_lowered, 0);
+  EXPECT_EQ(lowered->last_lowering_stats().components_rejected, 1);
 
-  Engine classic;
-  classic.options().lower_recursion = false;
-  classic.Insert("edge", edges);
-  EXPECT_EQ(classic.Query(source + "\ndef output : r"), got);
+  Engine classic_engine;
+  auto classic = classic_engine.OpenSession();
+  classic->options().lower_recursion = false;
+  classic->Insert("edge", edges);
+  EXPECT_EQ(classic->Query(source + "\ndef output : r"), got);
 }
 
 TEST(Lowering, SecondOrderRecursionFallsBackToInterp) {
   // The stdlib TC takes a relation argument — second-order, so the
   // component cannot lower; the solver path must still answer.
   Engine engine;
-  engine.Insert("E", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
-  Relation out = engine.Query("def output : TC[E]");
-  EXPECT_EQ(engine.last_lowering_stats().components_lowered, 0);
+  auto session = engine.OpenSession();
+  session->Insert("E", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
+  Relation out = session->Query("def output : TC[E]");
+  EXPECT_EQ(session->last_lowering_stats().components_lowered, 0);
   EXPECT_EQ(out.ToString(), "{(1, 2); (1, 3); (2, 3)}");
 }
 
 TEST(Lowering, AggregationInsideRecursionFallsBack) {
   Engine engine;
-  engine.Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
+  auto session = engine.OpenSession();
+  session->Insert("edge", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)})});
   // count[...] over the component's own predicate is non-monotone:
   // replacement mode, never lowered.
-  Relation out = engine.Query(
+  Relation out = session->Query(
       "def grow(x) : x = 1\n"
       "def grow(x) : x = count[grow] + 1 and x < 4\n"
       "def output : grow");
-  EXPECT_EQ(engine.last_lowering_stats().components_lowered, 0);
+  EXPECT_EQ(session->last_lowering_stats().components_lowered, 0);
   EXPECT_FALSE(out.empty());
 }
 
@@ -226,17 +237,19 @@ TEST(Lowering, ArithmeticInsideNegatedAtomFallsBack) {
       "def r(x) : x = 99\n"
       "def p(x) : q(x) and not r(x + 1)\n"
       "def p(x) : exists((y) | p(y) and edge(y, x))";
-  Engine lowered;
-  lowered.Insert("edge", {Tuple({I(1), I(5)})});
-  Relation got = lowered.Query(source + "\ndef output : p");
-  EXPECT_EQ(lowered.last_lowering_stats().components_lowered, 0);
-  EXPECT_EQ(lowered.last_lowering_stats().components_rejected, 1);
+  Engine lowered_engine;
+  auto lowered = lowered_engine.OpenSession();
+  lowered->Insert("edge", {Tuple({I(1), I(5)})});
+  Relation got = lowered->Query(source + "\ndef output : p");
+  EXPECT_EQ(lowered->last_lowering_stats().components_lowered, 0);
+  EXPECT_EQ(lowered->last_lowering_stats().components_rejected, 1);
   EXPECT_TRUE(got.Contains(Tuple({Value::String("a")})));
 
-  Engine classic;
-  classic.options().lower_recursion = false;
-  classic.Insert("edge", {Tuple({I(1), I(5)})});
-  EXPECT_EQ(classic.Query(source + "\ndef output : p"), got);
+  Engine classic_engine;
+  auto classic = classic_engine.OpenSession();
+  classic->options().lower_recursion = false;
+  classic->Insert("edge", {Tuple({I(1), I(5)})});
+  EXPECT_EQ(classic->Query(source + "\ndef output : p"), got);
 }
 
 // --- negated comparisons: kUnordered-faithful inverses ------------------------
@@ -254,20 +267,22 @@ TEST(Lowering, NegatedComparisonKeepsUnorderedRows) {
       "def p(y) : exists((x) | p(x) and edge(x, y))";
   std::vector<Tuple> edges = {Tuple({I(5), I(9)})};
 
-  Engine lowered;
-  lowered.Insert("edge", edges);
-  Relation got = lowered.Query(source + "\ndef output : p");
-  EXPECT_EQ(lowered.last_lowering_stats().components_lowered, 1)
+  Engine lowered_engine;
+  auto lowered = lowered_engine.OpenSession();
+  lowered->Insert("edge", edges);
+  Relation got = lowered->Query(source + "\ndef output : p");
+  EXPECT_EQ(lowered->last_lowering_stats().components_lowered, 1)
       << "negated comparison must lower, not reject";
   EXPECT_TRUE(got.Contains(Tuple({Value::String("a")})));  // kUnordered row
   EXPECT_TRUE(got.Contains(Tuple({I(5)})));
   EXPECT_TRUE(got.Contains(Tuple({I(9)})));   // derived through the recursion
   EXPECT_FALSE(got.Contains(Tuple({I(0)})));  // 0 < 1 holds, negation drops
 
-  Engine classic;
-  classic.options().lower_recursion = false;
-  classic.Insert("edge", edges);
-  Relation expected = classic.Query(source + "\ndef output : p");
+  Engine classic_engine;
+  auto classic = classic_engine.OpenSession();
+  classic->options().lower_recursion = false;
+  classic->Insert("edge", edges);
+  Relation expected = classic->Query(source + "\ndef output : p");
   EXPECT_EQ(expected, got);
   EXPECT_EQ(expected.ToString(), got.ToString());
 }
@@ -283,19 +298,21 @@ TEST(Lowering, NegatedEqualityIsNotNeq) {
       "def keep(y) : exists((x) | keep(x) and edge(x, y))";
   std::vector<Tuple> edges = {Tuple({I(2), I(7)})};
 
-  Engine lowered;
-  lowered.Insert("edge", edges);
-  Relation got = lowered.Query(source + "\ndef output : keep");
-  EXPECT_EQ(lowered.last_lowering_stats().components_lowered, 1);
+  Engine lowered_engine;
+  auto lowered = lowered_engine.OpenSession();
+  lowered->Insert("edge", edges);
+  Relation got = lowered->Query(source + "\ndef output : keep");
+  EXPECT_EQ(lowered->last_lowering_stats().components_lowered, 1);
   EXPECT_TRUE(got.Contains(Tuple({Value::String("a")})));
   EXPECT_TRUE(got.Contains(Tuple({I(2)})));
   EXPECT_TRUE(got.Contains(Tuple({I(7)})));
   EXPECT_FALSE(got.Contains(Tuple({I(1)})));
 
-  Engine classic;
-  classic.options().lower_recursion = false;
-  classic.Insert("edge", edges);
-  EXPECT_EQ(classic.Query(source + "\ndef output : keep"), got);
+  Engine classic_engine;
+  auto classic = classic_engine.OpenSession();
+  classic->options().lower_recursion = false;
+  classic->Insert("edge", edges);
+  EXPECT_EQ(classic->Query(source + "\ndef output : keep"), got);
 }
 
 // --- scalar semantics: one definition for both engines ------------------------
@@ -309,7 +326,8 @@ TEST(Lowering, MinMaxOverStringsAndNaNMatchTheInterpreter) {
       "def s(x) : exists((y) | s(y) and rel_primitive_minimum(\"a\", y, x))";
   EXPECT_EQ(ExpectLoweredEqualsInterp(strings, {}, "s"), 1);
   Engine engine;
-  EXPECT_EQ(engine.Query(strings + "\ndef output : s").ToString(),
+  auto session = engine.OpenSession();
+  EXPECT_EQ(session->Query(strings + "\ndef output : s").ToString(),
             "{(\"a\"); (\"b\")}");
 
   const std::string nan =
@@ -317,7 +335,7 @@ TEST(Lowering, MinMaxOverStringsAndNaNMatchTheInterpreter) {
       "def s(x) : exists((y) | s(y) and "
       "rel_primitive_maximum(1e308 * 10.0 - 1e308 * 10.0, y, x))";
   EXPECT_EQ(ExpectLoweredEqualsInterp(nan, {}, "s"), 1);
-  EXPECT_EQ(engine.Query(nan + "\ndef output : s").ToString(), "{(1.0)}");
+  EXPECT_EQ(session->Query(nan + "\ndef output : s").ToString(), "{(1.0)}");
 }
 
 TEST(Lowering, ComputedArgumentInNegatedComparisonStillFallsBack) {
@@ -330,18 +348,20 @@ TEST(Lowering, ComputedArgumentInNegatedComparisonStillFallsBack) {
       "def p(y) : exists((x) | p(x) and edge(x, y))";
   std::vector<Tuple> edges = {Tuple({I(9), I(3)})};
 
-  Engine lowered;
-  lowered.Insert("edge", edges);
-  Relation got = lowered.Query(source + "\ndef output : p");
-  EXPECT_EQ(lowered.last_lowering_stats().components_lowered, 0);
-  EXPECT_EQ(lowered.last_lowering_stats().components_rejected, 1);
+  Engine lowered_engine;
+  auto lowered = lowered_engine.OpenSession();
+  lowered->Insert("edge", edges);
+  Relation got = lowered->Query(source + "\ndef output : p");
+  EXPECT_EQ(lowered->last_lowering_stats().components_lowered, 0);
+  EXPECT_EQ(lowered->last_lowering_stats().components_rejected, 1);
   // The string row survives only through the vacuous negation.
   EXPECT_TRUE(got.Contains(Tuple({Value::String("a")})));
 
-  Engine classic;
-  classic.options().lower_recursion = false;
-  classic.Insert("edge", edges);
-  EXPECT_EQ(classic.Query(source + "\ndef output : p"), got);
+  Engine classic_engine;
+  auto classic = classic_engine.OpenSession();
+  classic->options().lower_recursion = false;
+  classic->Insert("edge", edges);
+  EXPECT_EQ(classic->Query(source + "\ndef output : p"), got);
 }
 
 // --- demand transformation through the engine ---------------------------------
@@ -352,37 +372,40 @@ TEST(Lowering, DemandTransformAnswersPointQueriesFromTheCone) {
   // rewrite on the lowered program) and matches the full evaluation.
   std::vector<Tuple> edges = benchutil::ChainGraph(32);
 
-  Engine full;
-  full.Insert("edge", edges);
-  Relation expected = full.Query(std::string(kTC) + "\ndef output(y) : tc(0, y)");
-  EXPECT_EQ(full.last_lowering_stats().components_demanded, 0);
+  Engine full_engine;
+  auto full = full_engine.OpenSession();
+  full->Insert("edge", edges);
+  Relation expected = full->Query(std::string(kTC) + "\ndef output(y) : tc(0, y)");
+  EXPECT_EQ(full->last_lowering_stats().components_demanded, 0);
 
-  Engine demand;
-  demand.options().demand_transform = true;
-  demand.Insert("edge", edges);
-  Relation got = demand.Query(std::string(kTC) + "\ndef output(y) : tc(0, y)");
-  EXPECT_EQ(demand.last_lowering_stats().components_demanded, 1);
-  EXPECT_EQ(demand.last_lowering_stats().components_lowered, 0)
+  Engine demand_engine;
+  auto demand = demand_engine.OpenSession();
+  demand->options().demand_transform = true;
+  demand->Insert("edge", edges);
+  Relation got = demand->Query(std::string(kTC) + "\ndef output(y) : tc(0, y)");
+  EXPECT_EQ(demand->last_lowering_stats().components_demanded, 1);
+  EXPECT_EQ(demand->last_lowering_stats().components_lowered, 0)
       << "the demanded query must not also compute the full extent";
-  EXPECT_EQ(demand.last_lowering_stats().demanded_tuples, 31u);
+  EXPECT_EQ(demand->last_lowering_stats().demanded_tuples, 31u);
   EXPECT_EQ(expected, got);
   EXPECT_EQ(expected.ToString(), got.ToString());
 }
 
 TEST(Lowering, DemandedExtentsMemoizePerPattern) {
   std::vector<Tuple> edges = benchutil::ChainGraph(16);
-  Engine demand;
-  demand.options().demand_transform = true;
-  demand.Insert("edge", edges);
+  Engine demand_engine;
+  auto demand = demand_engine.OpenSession();
+  demand->options().demand_transform = true;
+  demand->Insert("edge", edges);
   // Two distinct bound applications in one transaction: one demanded
   // evaluation each; a repeat of the same pattern hits the memo.
-  Relation out = demand.Query(
+  Relation out = demand->Query(
       std::string(kTC) +
       "\ndef a(y) : tc(0, y)\ndef b(y) : tc(3, y)\ndef c(y) : tc(0, y)\n"
       "def output(x, y) : a(y) and x = 1\n"
       "def output(x, y) : b(y) and x = 2\n"
       "def output(x, y) : c(y) and x = 3");
-  EXPECT_EQ(demand.last_lowering_stats().components_demanded, 2);
+  EXPECT_EQ(demand->last_lowering_stats().components_demanded, 2);
   EXPECT_EQ(out.size(), 15u + 12u + 15u);
 }
 
@@ -398,16 +421,18 @@ TEST(Lowering, DemandPatternCutoffFallsBackToOneFullEvaluation) {
               std::to_string(i) + "\n";
   }
 
-  Engine full;
-  full.Insert("edge", edges);
-  Relation expected = full.Query(std::string(kTC) + "\n" + probes);
+  Engine full_engine;
+  auto full = full_engine.OpenSession();
+  full->Insert("edge", edges);
+  Relation expected = full->Query(std::string(kTC) + "\n" + probes);
 
-  Engine demand;
-  demand.options().demand_transform = true;
-  demand.Insert("edge", edges);
-  Relation got = demand.Query(std::string(kTC) + "\n" + probes);
+  Engine demand_engine;
+  auto demand = demand_engine.OpenSession();
+  demand->options().demand_transform = true;
+  demand->Insert("edge", edges);
+  Relation got = demand->Query(std::string(kTC) + "\n" + probes);
   EXPECT_EQ(expected, got);
-  EXPECT_EQ(demand.last_lowering_stats().components_demanded, 8)
+  EXPECT_EQ(demand->last_lowering_stats().components_demanded, 8)
       << "demand must stop at the per-component pattern cutoff";
 }
 
@@ -417,10 +442,11 @@ TEST(Lowering, ZeroIterationCapDoesNotUnboundTheLoweredFixpoint) {
   // lowered component would hang forever instead of throwing.
   for (bool lower : {false, true}) {
     Engine engine;
-    engine.options().lower_recursion = lower;
-    engine.options().max_iterations = 0;
+    auto session = engine.OpenSession();
+    session->options().lower_recursion = lower;
+    session->options().max_iterations = 0;
     try {
-      engine.Query(
+      session->Query(
           "def n(x) : x = 0\n"
           "def n(x) : exists((y) | n(y) and x = y + 1)\n"
           "def output : n");
@@ -498,10 +524,11 @@ TEST(Lowering, CapSurvivesTheLowering) {
   // with a diagnostic naming the component.
   for (bool lower : {false, true}) {
     Engine engine;
-    engine.options().lower_recursion = lower;
-    engine.options().max_iterations = 64;
+    auto session = engine.OpenSession();
+    session->options().lower_recursion = lower;
+    session->options().max_iterations = 64;
     try {
-      engine.Query(
+      session->Query(
           "def n(x) : x = 0\n"
           "def n(x) : exists((y) | n(y) and x = y + 1)\n"
           "def output : n");
@@ -521,18 +548,20 @@ TEST(Lowering, TerminatingRecursionIgnoresTightInterpCapsLessDeepThanChain) {
   // the cap exceeds the chain depth and both diagnose when it does not.
   std::vector<Tuple> edges = benchutil::ChainGraph(12);
   for (bool lower : {false, true}) {
-    Engine ok;
-    ok.options().lower_recursion = lower;
-    ok.options().max_iterations = 40;
-    ok.Insert("edge", edges);
-    EXPECT_EQ(ok.Query(std::string(kTC) + "\ndef output : tc").size(),
+    Engine ok_engine;
+    auto ok = ok_engine.OpenSession();
+    ok->options().lower_recursion = lower;
+    ok->options().max_iterations = 40;
+    ok->Insert("edge", edges);
+    EXPECT_EQ(ok->Query(std::string(kTC) + "\ndef output : tc").size(),
               12u * 11u / 2u);
 
-    Engine capped;
-    capped.options().lower_recursion = lower;
-    capped.options().max_iterations = 3;
-    capped.Insert("edge", edges);
-    EXPECT_THROW(capped.Query(std::string(kTC) + "\ndef output : tc"),
+    Engine capped_engine;
+    auto capped = capped_engine.OpenSession();
+    capped->options().lower_recursion = lower;
+    capped->options().max_iterations = 3;
+    capped->Insert("edge", edges);
+    EXPECT_THROW(capped->Query(std::string(kTC) + "\ndef output : tc"),
                  RelError);
   }
 }

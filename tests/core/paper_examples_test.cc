@@ -21,45 +21,46 @@ Value S(const char* s) { return Value::String(s); }
 Value I(int64_t i) { return Value::Int(i); }
 
 /// The Figure 1 database.
-void LoadFigure1(Engine& engine) {
-  engine.Insert("PaymentOrder", {
-                    Tuple({S("Pmt1"), S("O1")}),
-                    Tuple({S("Pmt2"), S("O2")}),
-                    Tuple({S("Pmt3"), S("O1")}),
-                    Tuple({S("Pmt4"), S("O3")}),
-                });
-  engine.Insert("PaymentAmount", {
-                    Tuple({S("Pmt1"), I(20)}),
-                    Tuple({S("Pmt2"), I(10)}),
-                    Tuple({S("Pmt3"), I(10)}),
-                    Tuple({S("Pmt4"), I(90)}),
-                });
-  engine.Insert("OrderProductQuantity", {
-                    Tuple({S("O1"), S("P1"), I(2)}),
-                    Tuple({S("O1"), S("P2"), I(1)}),
-                    Tuple({S("O2"), S("P1"), I(1)}),
-                    Tuple({S("O3"), S("P3"), I(4)}),
-                });
-  engine.Insert("ProductPrice", {
-                    Tuple({S("P1"), I(10)}),
-                    Tuple({S("P2"), I(20)}),
-                    Tuple({S("P3"), I(30)}),
-                    Tuple({S("P4"), I(40)}),
-                });
+void LoadFigure1(Session& session) {
+  session.Insert("PaymentOrder", {
+                     Tuple({S("Pmt1"), S("O1")}),
+                     Tuple({S("Pmt2"), S("O2")}),
+                     Tuple({S("Pmt3"), S("O1")}),
+                     Tuple({S("Pmt4"), S("O3")}),
+                 });
+  session.Insert("PaymentAmount", {
+                     Tuple({S("Pmt1"), I(20)}),
+                     Tuple({S("Pmt2"), I(10)}),
+                     Tuple({S("Pmt3"), I(10)}),
+                     Tuple({S("Pmt4"), I(90)}),
+                 });
+  session.Insert("OrderProductQuantity", {
+                     Tuple({S("O1"), S("P1"), I(2)}),
+                     Tuple({S("O1"), S("P2"), I(1)}),
+                     Tuple({S("O2"), S("P1"), I(1)}),
+                     Tuple({S("O3"), S("P3"), I(4)}),
+                 });
+  session.Insert("ProductPrice", {
+                     Tuple({S("P1"), I(10)}),
+                     Tuple({S("P2"), I(20)}),
+                     Tuple({S("P3"), I(30)}),
+                     Tuple({S("P4"), I(40)}),
+                 });
 }
 
 class PaperExamples : public ::testing::TestWithParam<bool> {
  protected:
   PaperExamples() {
-    engine_.options().lower_recursion = GetParam();
-    LoadFigure1(engine_);
+    session_->options().lower_recursion = GetParam();
+    LoadFigure1(*session_);
   }
 
   std::string Query(const std::string& source) {
-    return engine_.Query(source).ToString();
+    return session_->Query(source).ToString();
   }
 
   Engine engine_;
+  std::unique_ptr<Session> session_ = engine_.OpenSession();
 };
 
 INSTANTIATE_TEST_SUITE_P(Pipelines, PaperExamples, ::testing::Bool(),
@@ -153,7 +154,7 @@ TEST_P(PaperExamples, UnsafeIntersectedWithFiniteIsFine) {
 }
 
 TEST_P(PaperExamples, PsychologicallyPriced) {
-  engine_.Insert("ProductPrice", {Tuple({S("P9"), I(199)})});
+  session_->Insert("ProductPrice", {Tuple({S("P9"), I(199)})});
   EXPECT_EQ(Query("def PsychologicallyPriced(x) :\n"
                   "  exists ((y) | ProductPrice(x,y) and y % 100 = 99)\n"
                   "def output(x) : PsychologicallyPriced(x)"),
@@ -201,11 +202,12 @@ TEST_P(PaperExamples, SameOrderDiffProductPairs) {
 
 TEST_P(PaperExamples, TransitiveClosureNonLinear) {
   Engine engine;
-  engine.options().lower_recursion = GetParam();
-  engine.Insert("E", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)}),
-                      Tuple({I(3), I(4)}), Tuple({I(10), I(11)})});
+  auto session = engine.OpenSession();
+  session->options().lower_recursion = GetParam();
+  session->Insert("E", {Tuple({I(1), I(2)}), Tuple({I(2), I(3)}),
+                        Tuple({I(3), I(4)}), Tuple({I(10), I(11)})});
   // Non-linear recursion: TC_E occurs twice on the right-hand side.
-  Relation out = engine.Query(
+  Relation out = session->Query(
       "def TC_E(x,y) : E(x,y)\n"
       "def TC_E(x,y) : exists((z) | TC_E(x,z) and TC_E(z,y))\n"
       "def output(x,y) : TC_E(x,y)");
@@ -233,7 +235,7 @@ TEST_P(PaperExamples, InsertAndDeleteControlRelations) {
   // OrderTotal / OrderPaid via aggregation (Section 5.2), then close fully
   // paid orders: O1 has total 2*10+1*20=40 and payments 20+10=30 (open);
   // O2 total 10, paid 10 (closed); O3 total 120, paid 90 (open).
-  engine_.Define(
+  session_->Define(
       "def Ord(x) : OrderProductQuantity(x,_,_)\n"
       "def OrderLineAmount(o, p, a) :\n"
       "  exists((q, pr) | OrderProductQuantity(o, p, q) and\n"
@@ -243,7 +245,7 @@ TEST_P(PaperExamples, InsertAndDeleteControlRelations) {
       "  PaymentOrder(y,x) and PaymentAmount(y,z)\n"
       "def OrderPaid[x in Ord] : sum[OrderPaymentAmount[x]]");
 
-  TxnResult txn = engine_.Exec(
+  TxnResult txn = session_->Exec(
       "def delete (:OrderProductQuantity,x,y,z) :\n"
       "  OrderProductQuantity(x,y,z) and\n"
       "  exists( (u) | OrderPaid(x,u) and OrderTotal(x,u) )\n"
@@ -251,34 +253,34 @@ TEST_P(PaperExamples, InsertAndDeleteControlRelations) {
       "  exists( (u) | OrderPaid(x,u) and OrderTotal(x,u))");
   EXPECT_EQ(txn.inserted, 1u);
   EXPECT_EQ(txn.deleted, 1u);
-  EXPECT_EQ(engine_.Base("ClosedOrders").ToString(), R"({("O2")})");
-  EXPECT_FALSE(engine_.Base("OrderProductQuantity")
-                   .Contains(Tuple({S("O2"), S("P1"), I(1)})));
-  EXPECT_TRUE(engine_.Base("OrderProductQuantity")
-                  .Contains(Tuple({S("O1"), S("P1"), I(2)})));
+  EXPECT_EQ(session_->Base("ClosedOrders").ToString(), R"({("O2")})");
+  EXPECT_FALSE(session_->Base("OrderProductQuantity")
+                     .Contains(Tuple({S("O2"), S("P1"), I(1)})));
+  EXPECT_TRUE(session_->Base("OrderProductQuantity")
+                    .Contains(Tuple({S("O1"), S("P1"), I(2)})));
 }
 
 // --- Section 3.5: integrity constraints ---
 
 TEST_P(PaperExamples, TypeConstraintHolds) {
-  engine_.Define(
+  session_->Define(
       "ic integer_quantities() requires\n"
       "  forall((x) | OrderProductQuantity(_,_,x) implies Int(x))");
-  EXPECT_NO_THROW(engine_.Exec("def insert(:Dummy, x) : x = 1"));
+  EXPECT_NO_THROW(session_->Exec("def insert(:Dummy, x) : x = 1"));
 }
 
 TEST_P(PaperExamples, ViolatedConstraintAbortsTransaction) {
-  engine_.Define(
+  session_->Define(
       "ic valid_products(x) requires\n"
       "  OrderProductQuantity(_,x,_) implies ProductPrice(x,_)");
   // Inserting an order line for an unpriced product violates the ic;
   // the transaction must roll back.
   EXPECT_THROW(
-      engine_.Exec("def insert(:OrderProductQuantity, o, p, q) :\n"
-                   "  o = \"O9\" and p = \"Phantom\" and q = 1"),
+      session_->Exec("def insert(:OrderProductQuantity, o, p, q) :\n"
+                     "  o = \"O9\" and p = \"Phantom\" and q = 1"),
       ConstraintViolation);
-  EXPECT_FALSE(engine_.Base("OrderProductQuantity")
-                   .Contains(Tuple({S("O9"), S("Phantom"), I(1)})));
+  EXPECT_FALSE(session_->Base("OrderProductQuantity")
+                     .Contains(Tuple({S("O9"), S("Phantom"), I(1)})));
 }
 
 // --- Section 4.1: tuple variables ---
@@ -307,7 +309,7 @@ TEST_P(PaperExamples, PrefixesOfTuples) {
 }
 
 TEST_P(PaperExamples, PermutationsViaTranspositions) {
-  Relation out = engine_.Query(
+  Relation out = session_->Query(
       "def R {(1,2,3)}\n"
       "def Perm(x...) : R(x...)\n"
       "def Perm(x...,a,y...,b,z...) : Perm(x...,b,y...,a,z...)\n"
@@ -320,20 +322,20 @@ TEST_P(PaperExamples, PermutationsViaTranspositions) {
 // --- Sections 4.2/4.3: relation variables and relational application ---
 
 TEST_P(PaperExamples, ProductAsSecondOrderRelationFullApplication) {
-  engine_.Define("def R {(1,2) ; (3,4)}\ndef S {(5,6)}");
+  session_->Define("def R {(1,2) ; (3,4)}\ndef S {(5,6)}");
   EXPECT_EQ(Query("def output : Product(R, S, 1, 2, 5, 6)"), "{()}");
   EXPECT_EQ(Query("def output : Product(R, S, 1, 2, 5, 7)"), "{}");
 }
 
 TEST_P(PaperExamples, ProductPartialApplication) {
-  engine_.Define("def R {(1,2) ; (3,4)}\ndef S {(5,6)}");
+  session_->Define("def R {(1,2) ; (3,4)}\ndef S {(5,6)}");
   EXPECT_EQ(Query("def output : Product[R, S]"),
             "{(1, 2, 5, 6); (3, 4, 5, 6)}");
 }
 
 TEST_P(PaperExamples, CommaIsCartesianProduct) {
   EXPECT_EQ(Query("def output : (\"P4\", 40)"), R"({("P4", 40)})");
-  EXPECT_EQ(engine_.Eval("(PaymentOrder, ProductPrice)").size(), 16u);
+  EXPECT_EQ(session_->Eval("(PaymentOrder, ProductPrice)").size(), 16u);
 }
 
 TEST_P(PaperExamples, PartialApplicationSuffixes) {
@@ -357,7 +359,7 @@ TEST_P(PaperExamples, RoundAbstractionSetComprehension) {
 
 TEST_P(PaperExamples, SquareAbstractionExample4) {
   // {[x,y] : (OrderProductQuantity[x], PaymentOrder(y,x))}
-  Relation out = engine_.Eval(
+  Relation out = session_->Eval(
       "{[x,y] : (OrderProductQuantity[x], PaymentOrder(y,x)) }");
   EXPECT_TRUE(out.Contains(Tuple({S("O1"), S("Pmt1"), S("P1"), I(2)})));
   EXPECT_TRUE(out.Contains(Tuple({S("O1"), S("Pmt1"), S("P2"), I(1)})));
@@ -367,7 +369,7 @@ TEST_P(PaperExamples, SquareAbstractionExample4) {
 }
 
 TEST_P(PaperExamples, SquareAbstractionRestrictedRange) {
-  engine_.Define("def V {(\"Pmt2\") ; (\"Pmt4\")}");
+  session_->Define("def V {(\"Pmt2\") ; (\"Pmt4\")}");
   EXPECT_EQ(
       Query("def output : {[x, y in V] :\n"
             "  (OrderProductQuantity[x], PaymentOrder(y,x)) }"),
@@ -375,9 +377,9 @@ TEST_P(PaperExamples, SquareAbstractionRestrictedRange) {
 }
 
 TEST_P(PaperExamples, WhereIsSugarForConditioning) {
-  Relation a = engine_.Eval(
+  Relation a = session_->Eval(
       "{[x,y] : OrderProductQuantity[x] where PaymentOrder(y,x)}");
-  Relation b = engine_.Eval(
+  Relation b = session_->Eval(
       "{[x,y] : (OrderProductQuantity[x], PaymentOrder(y,x))}");
   EXPECT_EQ(a, b);
 }
@@ -386,10 +388,8 @@ TEST_P(PaperExamples, WhereIsSugarForConditioning) {
 
 TEST_P(PaperExamples, DotJoin) {
   EXPECT_EQ(Query("def output : PaymentOrder.OrderProductQuantity"),
-            engine_
-                .Query("def output(p, pr, q) : exists((o) | "
-                       "PaymentOrder(p,o) and OrderProductQuantity(o,pr,q))")
-                .ToString());
+            Query("def output(p, pr, q) : exists((o) | "
+                  "PaymentOrder(p,o) and OrderProductQuantity(o,pr,q))"));
 }
 
 TEST_P(PaperExamples, LeftOverride) {
@@ -402,13 +402,14 @@ TEST_P(PaperExamples, LeftOverride) {
 // --- Section 5.2: aggregation and reduce ---
 
 TEST_P(PaperExamples, BasicAggregates) {
-  Engine e;
-  e.options().lower_recursion = GetParam();
-  EXPECT_EQ(e.Eval("sum[{(1);(2);(3)}]").ToString(), "{(6)}");
-  EXPECT_EQ(e.Eval("count[{(5);(7);(9)}]").ToString(), "{(3)}");
-  EXPECT_EQ(e.Eval("min[{(5);(7);(9)}]").ToString(), "{(5)}");
-  EXPECT_EQ(e.Eval("max[{(5);(7);(9)}]").ToString(), "{(9)}");
-  EXPECT_EQ(e.Eval("avg[{(2);(4)}]").ToString(), "{(3)}");
+  Engine engine;
+  auto session = engine.OpenSession();
+  session->options().lower_recursion = GetParam();
+  EXPECT_EQ(session->Eval("sum[{(1);(2);(3)}]").ToString(), "{(6)}");
+  EXPECT_EQ(session->Eval("count[{(5);(7);(9)}]").ToString(), "{(3)}");
+  EXPECT_EQ(session->Eval("min[{(5);(7);(9)}]").ToString(), "{(5)}");
+  EXPECT_EQ(session->Eval("max[{(5);(7);(9)}]").ToString(), "{(9)}");
+  EXPECT_EQ(session->Eval("avg[{(2);(4)}]").ToString(), "{(3)}");
 }
 
 TEST_P(PaperExamples, SumIsOverWholeRelationNotLastColumn) {
@@ -434,7 +435,7 @@ TEST_P(PaperExamples, GroupedAggregationOrderPaid) {
 
 TEST_P(PaperExamples, GroupedAggregationWithDefault) {
   // Orders without payments get 0 via left override.
-  engine_.Insert("OrderProductQuantity", {Tuple({S("O4"), S("P4"), I(1)})});
+  session_->Insert("OrderProductQuantity", {Tuple({S("O4"), S("P4"), I(1)})});
   const char* program =
       "def Ord(x) : OrderProductQuantity(x,_,_)\n"
       "def OrderPaymentAmount(x,y,z) :\n"
@@ -496,8 +497,8 @@ TEST_P(PaperExamples, MatrixVector) {
 
 TEST_P(PaperExamples, ApspTeaser) {
   // Path graph 1 -> 2 -> 3.
-  engine_.Define("def N {(1);(2);(3)}\n"
-                 "def NN {(1,2) ; (2,3)}");
+  session_->Define("def N {(1);(2);(3)}\n"
+                   "def NN {(1,2) ; (2,3)}");
   EXPECT_EQ(Query("def output : APSP[N, NN, 1, 3]"), "{(2)}");
   EXPECT_EQ(Query("def output : APSP[N, NN]"),
             "{(1, 1, 0); (1, 2, 1); (1, 3, 2); (2, 2, 0); (2, 3, 1); "
@@ -505,17 +506,17 @@ TEST_P(PaperExamples, ApspTeaser) {
 }
 
 TEST_P(PaperExamples, ApspBothFormulationsAgree) {
-  engine_.Define("def N {(1);(2);(3);(4)}\n"
-                 "def NN {(1,2) ; (2,3) ; (3,4) ; (1,3)}");
-  EXPECT_EQ(engine_.Query("def output : APSP[N, NN]"),
-            engine_.Query("def output : APSP_guarded[N, NN]"));
+  session_->Define("def N {(1);(2);(3);(4)}\n"
+                   "def NN {(1,2) ; (2,3) ; (3,4) ; (1,3)}");
+  EXPECT_EQ(session_->Query("def output : APSP[N, NN]"),
+            session_->Query("def output : APSP_guarded[N, NN]"));
 }
 
 TEST_P(PaperExamples, PageRankConverges) {
   // A 3-cycle: column-stochastic matrix; PageRank converges to uniform.
-  engine_.Define(
+  session_->Define(
       "def G {(1,3,1.0) ; (2,1,1.0) ; (3,2,1.0)}");
-  Relation out = engine_.Query("def output : PageRank[G]");
+  Relation out = session_->Query("def output : PageRank[G]");
   EXPECT_EQ(out.size(), 3u);
   for (const Tuple& t : out.SortedTuples()) {
     ASSERT_EQ(t.arity(), 2u);
@@ -529,7 +530,7 @@ TEST_P(PaperExamples, AddUpDisambiguation) {
   // The paper's listing writes the digit-sum rule with `where x >= 0` and
   // no base case, which has an empty least fixpoint (addUp[0] would require
   // addUp[0]); we add the intended base case addUp[0] = 0.
-  engine_.Define(
+  session_->Define(
       "def addUp[{A}] : sum[A]\n"
       "def addUp[x in Int] : 0 where x = 0\n"
       "def addUp[x in Int] : x%10 + addUp[(x-x%10)/10] where x > 0");

@@ -26,8 +26,9 @@ TEST(ParallelConstraints, PassingStateAcceptedAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     Engine engine;
     SetUpConstraints(engine, threads);
-    engine.Exec("def insert : {(:R, 1); (:R, 2); (:R, 3)}");
-    engine.Exec("def insert : {(:P, 1, 2); (:P, 2, 9)}");
+    auto session = engine.OpenSession();
+    session->Exec("def insert : {(:R, 1); (:R, 2); (:R, 3)}");
+    session->Exec("def insert : {(:P, 1, 2); (:P, 2, 9)}");
     EXPECT_NO_THROW(engine.CheckConstraints()) << "threads=" << threads;
     EXPECT_EQ(engine.Base("R").size(), 3u);
   }
@@ -55,8 +56,9 @@ TEST(ParallelConstraints, ViolatingTransactionRollsBack) {
   for (int threads : {1, 4}) {
     Engine engine;
     SetUpConstraints(engine, threads);
-    engine.Exec("def insert : {(:R, 7)}");
-    EXPECT_THROW(engine.Exec("def insert : {(:R, -1); (:R, 8)}"),
+    auto session = engine.OpenSession();
+    session->Exec("def insert : {(:R, 7)}");
+    EXPECT_THROW(session->Exec("def insert : {(:R, -1); (:R, 8)}"),
                  ConstraintViolation)
         << "threads=" << threads;
     // The violating transaction left nothing behind.
@@ -71,8 +73,8 @@ TEST(ParallelConstraints, TransactionLocalConstraintsStillApply) {
   engine.Insert("R", {Tuple({Value::Int(1)})});
   // The ic arrives with the transaction; with several installed plus the
   // transaction-local one, the parallel path still sees all of them.
-  EXPECT_THROW(engine.Exec("ic nonempty() requires empty(R)\n"
-                           "def insert : {(:S, 1)}"),
+  EXPECT_THROW(engine.OpenSession()->Exec("ic nonempty() requires empty(R)\n"
+                                          "def insert : {(:S, 1)}"),
                ConstraintViolation);
   EXPECT_TRUE(engine.Base("S").empty());
 }

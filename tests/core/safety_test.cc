@@ -12,13 +12,13 @@ namespace {
 class Safety : public ::testing::Test {
  protected:
   Safety() {
-    engine_.Define("def Fin {(1) ; (2) ; (3)}\n"
-                   "def Pairs {(1, -1) ; (2, 3)}");
+    session_->Define("def Fin {(1) ; (2) ; (3)}\n"
+                     "def Pairs {(1, -1) ; (2, 3)}");
   }
 
   void ExpectUnsafe(const std::string& expr) {
     try {
-      engine_.Eval(expr);
+      session_->Eval(expr);
       FAIL() << expr << " should be unsafe";
     } catch (const RelError& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kSafety) << e.what();
@@ -26,6 +26,7 @@ class Safety : public ::testing::Test {
   }
 
   Engine engine_;
+  std::unique_ptr<Session> session_ = engine_.OpenSession();
 };
 
 TEST_F(Safety, BareInfiniteRelationsAreUnsafe) {
@@ -37,33 +38,34 @@ TEST_F(Safety, BareInfiniteRelationsAreUnsafe) {
 
 TEST_F(Safety, NegationAloneIsUnsafe) {
   // def NotP1Price(x) : not ProductPrice("P1", x) — Section 3.1.
-  engine_.Define("def PP {(\"P1\", 10)}");
+  session_->Define("def PP {(\"P1\", 10)}");
   ExpectUnsafe("{(x) : not PP(\"P1\", x)}");
 }
 
 TEST_F(Safety, NegationGuardedIsSafe) {
-  engine_.Define("def PP {(\"P1\", 10)}");
-  EXPECT_EQ(engine_.Eval("{(x) : Fin(x) and not PP(\"P1\", x)}").size(), 3u);
+  session_->Define("def PP {(\"P1\", 10)}");
+  EXPECT_EQ(session_->Eval("{(x) : Fin(x) and not PP(\"P1\", x)}").size(), 3u);
 }
 
 TEST_F(Safety, UnsafeDefUsableWhenGuarded) {
-  engine_.Define(
+  session_->Define(
       "def AdditiveInverse(x,y) : Int(x) and Int(y) and add(x,y,0)");
   ExpectUnsafe("AdditiveInverse");
   EXPECT_EQ(
-      engine_.Eval("{(x,y) : Pairs(x,y) and AdditiveInverse(x,y)}").ToString(),
+      session_->Eval("{(x,y) : Pairs(x,y) and AdditiveInverse(x,y)}")
+          .ToString(),
       "{(1, -1)}");
 }
 
 TEST_F(Safety, InfiniteConditionInSelect) {
-  engine_.Define("def Cond(x, y, rest...) : x = y");
+  session_->Define("def Cond(x, y, rest...) : x = y");
   ExpectUnsafe("Cond");
-  EXPECT_EQ(engine_.Eval("Select[(Fin, Fin), Cond]").ToString(),
+  EXPECT_EQ(session_->Eval("Select[(Fin, Fin), Cond]").ToString(),
             "{(1, 1); (2, 2); (3, 3)}");
 }
 
 TEST_F(Safety, ArithmeticNeedsOneBoundSide) {
-  EXPECT_EQ(engine_.Eval("{(x) : Fin(x) and x + 1 = 3}").ToString(), "{(2)}");
+  EXPECT_EQ(session_->Eval("{(x) : Fin(x) and x + 1 = 3}").ToString(), "{(2)}");
   // y unbound on both sides of the addition.
   ExpectUnsafe("{(y) : y + 1 = y}");
 }
@@ -81,7 +83,7 @@ TEST_F(Safety, AggregationOverInfiniteInput) {
 
 TEST_F(Safety, SafetyErrorListsConstraints) {
   try {
-    engine_.Eval("{(x) : Int(x)}");
+    session_->Eval("{(x) : Int(x)}");
     FAIL();
   } catch (const RelError& e) {
     EXPECT_NE(std::string(e.what()).find("no safe evaluation order"),
@@ -91,17 +93,18 @@ TEST_F(Safety, SafetyErrorListsConstraints) {
 
 TEST_F(Safety, GuardedByDomainBinding) {
   // `x in Fin` provides the guard that Int(x) cannot.
-  EXPECT_EQ(engine_.Eval("{[x in Fin] : x * 10}").ToString(),
+  EXPECT_EQ(session_->Eval("{[x in Fin] : x * 10}").ToString(),
             "{(1, 10); (2, 20); (3, 30)}");
 }
 
 TEST_F(Safety, ComparisonChainsGuardedLeftToRight) {
-  EXPECT_EQ(engine_.Eval("{(x,y) : Fin(x) and y = x + 1 and y < 3}").ToString(),
-            "{(1, 2)}");
+  EXPECT_EQ(
+      session_->Eval("{(x,y) : Fin(x) and y = x + 1 and y < 3}").ToString(),
+      "{(1, 2)}");
 }
 
 TEST_F(Safety, RangeGuardsItsVariable) {
-  EXPECT_EQ(engine_.Eval("{(i) : range(1, 4, 1, i)}").size(), 4u);
+  EXPECT_EQ(session_->Eval("{(i) : range(1, 4, 1, i)}").size(), 4u);
   ExpectUnsafe("{(a, i) : range(1, a, 1, i)}");
 }
 

@@ -15,16 +15,17 @@ Value S(const char* s) { return Value::String(s); }
 class Semantics : public ::testing::Test {
  protected:
   Semantics() : engine_(/*load_stdlib=*/true) {
-    engine_.Define("def R {(1,2) ; (3,4)}\n"
-                   "def S {(5,6)}\n"
-                   "def U {(1) ; (2)}");
+    session_->Define("def R {(1,2) ; (3,4)}\n"
+                     "def S {(5,6)}\n"
+                     "def U {(1) ; (2)}");
   }
 
   std::string Eval(const std::string& expr) {
-    return engine_.Eval(expr).ToString();
+    return session_->Eval(expr).ToString();
   }
 
   Engine engine_;
+  std::unique_ptr<Session> session_ = engine_.OpenSession();
 };
 
 // J c K = {<c>}
@@ -100,7 +101,7 @@ TEST_F(Semantics, FirstOrderAnnotatedApplication) {
 
 // J {E1}[&{E2}] K: the whole relation E2 as one argument.
 TEST_F(Semantics, SecondOrderAnnotatedApplication) {
-  engine_.Define("def f[{A}] : count[A]");
+  session_->Define("def f[{A}] : count[A]");
   EXPECT_EQ(Eval("f[&{R}]"), "{(2)}");
 }
 
@@ -150,13 +151,13 @@ TEST_F(Semantics, Reduce) {
 // Non-functional reduce operators are a type error.
 TEST_F(Semantics, ReduceRejectsNonFunctionalOperator) {
   // The fold applies the operator to (1, 2); two results for that key.
-  engine_.Define("def multi {(1, 2, 10) ; (1, 2, 20)}");
+  session_->Define("def multi {(1, 2, 10) ; (1, 2, 20)}");
   EXPECT_THROW(Eval("reduce[multi, U]"), RelError);
 }
 
 // Defined relations can be used as reduce operators.
 TEST_F(Semantics, ReduceWithDefinedOperator) {
-  engine_.Define("def clamped_add[x, y] : minimum[add[x, y], 10]");
+  session_->Define("def clamped_add[x, y] : minimum[add[x, y], 10]");
   EXPECT_EQ(Eval("reduce[clamped_add, {(7);(8);(9)}]"), "{(10)}");
 }
 
@@ -173,14 +174,15 @@ TEST_F(Semantics, EmptyRelationVsEmptyTuple) {
 }
 
 TEST_F(Semantics, EntityValues) {
-  Engine e(/*load_stdlib=*/false);
-  e.Insert("Owner", {Tuple({Value::Entity("person", "p1"), S("Ann")})});
-  EXPECT_EQ(e.Query("def output(x) : Owner(_, x)").ToString(),
+  Engine engine(/*load_stdlib=*/false);
+  auto session = engine.OpenSession();
+  session->Insert("Owner", {Tuple({Value::Entity("person", "p1"), S("Ann")})});
+  EXPECT_EQ(session->Query("def output(x) : Owner(_, x)").ToString(),
             "{(\"Ann\")}");
 }
 
 TEST_F(Semantics, DeepRecursionThroughInlinedDefs) {
-  engine_.Define(
+  session_->Define(
       "def digits[x in Int] : 1 where x >= 0 and x < 10\n"
       "def digits[x in Int] : 1 + digits[(x - x % 10)/10] where x >= 10");
   EXPECT_EQ(Eval("digits[905617]"), "{(6)}");

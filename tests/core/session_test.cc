@@ -29,7 +29,7 @@ TEST(Session, PinnedReaderIsIsolatedFromCommits) {
   std::unique_ptr<Session> reader = engine.OpenSession();
   const std::string before = reader->Eval("R").ToString();
 
-  engine.Exec("def insert(:R, x) : x = 3");
+  engine.OpenSession()->Exec("def insert(:R, x) : x = 3");
   // The pin still answers from the pre-commit snapshot...
   EXPECT_EQ(reader->Eval("R").ToString(), before);
   EXPECT_EQ(reader->Base("R").size(), 2u);
@@ -165,10 +165,10 @@ TEST(Session, ExtentCacheHitsServeTheCachedExtentInPlace) {
 
   // Maintain edits the borrowed entry in place across an insert commit and
   // a delete commit; every later hit must still match a cold session.
-  engine.Exec("def insert(:edge, x, y) : x = 4 and y = 5");
+  engine.OpenSession()->Exec("def insert(:edge, x, y) : x = 4 and y = 5");
   session->Refresh();
   EXPECT_EQ(session->Query(all).ToString(), fresh());
-  engine.Exec("def delete(:edge, x, y) : x = 1 and y = 2");
+  engine.OpenSession()->Exec("def delete(:edge, x, y) : x = 1 and y = 2");
   session->Refresh();
   EXPECT_EQ(session->Query(all).ToString(), fresh());
   EXPECT_GT(session->cache().maintained(), 0u);
@@ -232,7 +232,7 @@ TEST(Session, RecoveredDatabaseDropsCachedConesAtAnAliasedVersion) {
   {
     Engine a;
     ASSERT_TRUE(a.AttachStorage("db", {}, fs).status.ok());
-    a.Exec("def insert(:edge, x, y) : x = 1 and y = 7");
+    a.OpenSession()->Exec("def insert(:edge, x, y) : x = 1 and y = 7");
   }
 
   Engine b;

@@ -8,12 +8,13 @@ namespace rel {
 namespace {
 
 std::string Eval(Engine& engine, const std::string& expr) {
-  return engine.Eval(expr).ToString();
+  return engine.OpenSession()->Eval(expr).ToString();
 }
 
 TEST(Smoke, ConstantOutput) {
   Engine engine(/*load_stdlib=*/false);
-  EXPECT_EQ(engine.Query("def output(x) : x = 1").ToString(), "{(1)}");
+  EXPECT_EQ(engine.OpenSession()->Query("def output(x) : x = 1").ToString(),
+            "{(1)}");
 }
 
 TEST(Smoke, RelationLiteral) {
@@ -33,8 +34,8 @@ TEST(Smoke, BaseRelationJoin) {
   Engine engine(/*load_stdlib=*/false);
   engine.Insert("E", {Tuple({Value::Int(1), Value::Int(2)}),
                       Tuple({Value::Int(2), Value::Int(3)})});
-  Relation out =
-      engine.Query("def output(x, z) : exists((y) | E(x, y) and E(y, z))");
+  Relation out = engine.OpenSession()->Query(
+      "def output(x, z) : exists((y) | E(x, y) and E(y, z))");
   EXPECT_EQ(out.ToString(), "{(1, 3)}");
 }
 
@@ -49,7 +50,7 @@ TEST(Smoke, TransitiveClosure) {
   engine.Insert("E", {Tuple({Value::Int(1), Value::Int(2)}),
                       Tuple({Value::Int(2), Value::Int(3)}),
                       Tuple({Value::Int(3), Value::Int(4)})});
-  Relation out = engine.Query(
+  Relation out = engine.OpenSession()->Query(
       "def tc(x,y) : E(x,y)\n"
       "def tc(x,y) : exists((z) | E(x,z) and tc(z,y))\n"
       "def output(x,y) : tc(x,y)");

@@ -12,9 +12,10 @@ namespace {
 class Stdlib : public ::testing::Test {
  protected:
   std::string Eval(const std::string& expr) {
-    return engine_.Eval(expr).ToString();
+    return session_->Eval(expr).ToString();
   }
   Engine engine_;
+  std::unique_ptr<Session> session_ = engine_.OpenSession();
 };
 
 // --- arithmetic wrappers ---
@@ -42,9 +43,10 @@ TEST_F(Stdlib, ArithmeticWrappersInvertLikePrimitives) {
 TEST_F(Stdlib, InfixOperatorsWorkWithoutStdlib) {
   // The infix operators desugar to primitives, independent of the library
   // (the stdlib's `def (+)` forms are parsed for fidelity; see parser_test).
-  Engine e(/*load_stdlib=*/false);
-  EXPECT_EQ(e.Eval("2 + 3").ToString(), "{(5)}");
-  EXPECT_EQ(e.Eval("2 < 3").ToString(), "{()}");
+  Engine engine(/*load_stdlib=*/false);
+  auto session = engine.OpenSession();
+  EXPECT_EQ(session->Eval("2 + 3").ToString(), "{(5)}");
+  EXPECT_EQ(session->Eval("2 < 3").ToString(), "{()}");
 }
 
 TEST_F(Stdlib, StringWrappers) {
@@ -63,14 +65,14 @@ TEST_F(Stdlib, Empty) {
   EXPECT_EQ(Eval("empty({})"), "{()}");
   EXPECT_EQ(Eval("empty({(1)})"), "{}");
   // empty of an empty *derived* relation.
-  engine_.Define("def none(x) : x = 1 and x = 2");
+  session_->Define("def none(x) : x = 1 and x = 2");
   EXPECT_EQ(Eval("empty(none)"), "{()}");
 }
 
 TEST_F(Stdlib, DotJoinArities) {
-  engine_.Define("def A {(1, 2) ; (1, 3)}\n"
-                 "def B {(2, \"two\") ; (3, \"three\") ; (9, \"nine\")}\n"
-                 "def C3 {(1, 2, 3)}");
+  session_->Define("def A {(1, 2) ; (1, 3)}\n"
+                   "def B {(2, \"two\") ; (3, \"three\") ; (9, \"nine\")}\n"
+                   "def C3 {(1, 2, 3)}");
   EXPECT_EQ(Eval("A.B"), R"({(1, "three"); (1, "two")})");
   // Dot join of a ternary with a binary: joins last-to-first.
   EXPECT_EQ(Eval("C3.{(3, 33)}"), "{(1, 2, 33)}");
@@ -79,8 +81,8 @@ TEST_F(Stdlib, DotJoinArities) {
 }
 
 TEST_F(Stdlib, LeftOverrideKeyedDefaults) {
-  engine_.Define("def A {(1, 10) ; (2, 20)}\n"
-                 "def B {(2, 99) ; (3, 30)}");
+  session_->Define("def A {(1, 10) ; (2, 20)}\n"
+                   "def B {(2, 99) ; (3, 30)}");
   EXPECT_EQ(Eval("A <++ B"), "{(1, 10); (2, 20); (3, 30)}");
   EXPECT_EQ(Eval("B <++ A"), "{(1, 10); (2, 99); (3, 30)}");
   EXPECT_EQ(Eval("{} <++ A"), "{(1, 10); (2, 20)}");
@@ -90,8 +92,8 @@ TEST_F(Stdlib, LeftOverrideKeyedDefaults) {
 }
 
 TEST_F(Stdlib, RelationalAlgebra) {
-  engine_.Define("def A {(1) ; (2)}\n"
-                 "def B {(2) ; (3)}");
+  session_->Define("def A {(1) ; (2)}\n"
+                   "def B {(2) ; (3)}");
   EXPECT_EQ(Eval("Union[A, B]"), "{(1); (2); (3)}");
   EXPECT_EQ(Eval("Intersect[A, B]"), "{(2)}");
   EXPECT_EQ(Eval("Minus[A, B]"), "{(1)}");
@@ -101,9 +103,9 @@ TEST_F(Stdlib, RelationalAlgebra) {
 }
 
 TEST_F(Stdlib, SelectWithFiniteAndInfiniteConditions) {
-  engine_.Define("def A {(1, 1) ; (1, 2) ; (3, 3)}");
+  session_->Define("def A {(1, 1) ; (1, 2) ; (3, 3)}");
   EXPECT_EQ(Eval("Select[A, {(1, 1)}]"), "{(1, 1)}");
-  engine_.Define("def Diag(x, y) : x = y");
+  session_->Define("def Diag(x, y) : x = y");
   EXPECT_EQ(Eval("Select[A, Diag]"), "{(1, 1); (3, 3)}");
 }
 
@@ -125,7 +127,7 @@ TEST_F(Stdlib, AggregatesOverLastColumn) {
 }
 
 TEST_F(Stdlib, ArgminArgmax) {
-  engine_.Define("def Score {(\"a\", 3) ; (\"b\", 1) ; (\"c\", 3)}");
+  session_->Define("def Score {(\"a\", 3) ; (\"b\", 1) ; (\"c\", 3)}");
   EXPECT_EQ(Eval("Argmin[Score]"), R"({("b")})");
   EXPECT_EQ(Eval("Argmax[Score]"), R"({("a"); ("c")})");
 }
@@ -133,20 +135,20 @@ TEST_F(Stdlib, ArgminArgmax) {
 // --- linear algebra ---
 
 TEST_F(Stdlib, LinearAlgebra) {
-  engine_.Define("def M {(1,1,2.0) ; (2,2,3.0)}\n"
-                 "def X {(1,1.0) ; (2,1.0)}");
+  session_->Define("def M {(1,1,2.0) ; (2,2,3.0)}\n"
+                   "def X {(1,1.0) ; (2,1.0)}");
   EXPECT_EQ(Eval("dimension[M]"), "{(2)}");
   EXPECT_EQ(Eval("MatrixVector[M, X]"), "{(1, 2.0); (2, 3.0)}");
   EXPECT_EQ(Eval("Transpose[{(1,2,5.0)}]"), "{(2, 1, 5.0)}");
   // Multiplying by the identity is the identity.
-  engine_.Define("def I2 {(1,1,1.0) ; (2,2,1.0)}");
+  session_->Define("def I2 {(1,1,1.0) ; (2,2,1.0)}");
   EXPECT_EQ(Eval("MatrixMult[M, I2]"), "{(1, 1, 2.0); (2, 2, 3.0)}");
 }
 
 // --- graph library ---
 
 TEST_F(Stdlib, GraphBasics) {
-  engine_.Define("def E {(1,2) ; (2,3) ; (3,1) ; (3,4)}");
+  session_->Define("def E {(1,2) ; (2,3) ; (3,1) ; (3,4)}");
   EXPECT_EQ(Eval("Nodes[E]"), "{(1); (2); (3); (4)}");
   EXPECT_EQ(Eval("outdegree[E]"), "{(1, 1); (2, 1); (3, 2); (4, 0)}");
   EXPECT_EQ(Eval("indegree[E]"), "{(1, 1); (2, 1); (3, 1); (4, 1)}");
@@ -155,33 +157,33 @@ TEST_F(Stdlib, GraphBasics) {
 }
 
 TEST_F(Stdlib, TCOnCycle) {
-  engine_.Define("def E {(1,2) ; (2,3) ; (3,1)}");
-  Relation tc = engine_.Query("def output : TC[E]");
+  session_->Define("def E {(1,2) ; (2,3) ; (3,1)}");
+  Relation tc = session_->Query("def output : TC[E]");
   EXPECT_EQ(tc.size(), 9u);  // complete: every node reaches every node
 }
 
 TEST_F(Stdlib, TCMemoizedAcrossUses) {
-  engine_.Define("def E {(1,2) ; (2,3)}");
+  session_->Define("def E {(1,2) ; (2,3)}");
   // Two uses of TC[E] in one query share the instance.
-  Relation out = engine_.Query(
+  Relation out = session_->Query(
       "def output(x) : TC[E](1, x) and TC[E](x, 3)");
   EXPECT_EQ(out.ToString(), "{(2)}");
 }
 
 TEST_F(Stdlib, ApspDisconnected) {
-  engine_.Define("def V {(1);(2);(3)}\n"
-                 "def E {(1,2)}");
-  Relation apsp = engine_.Query("def output : APSP_guarded[V, E]");
+  session_->Define("def V {(1);(2);(3)}\n"
+                   "def E {(1,2)}");
+  Relation apsp = session_->Query("def output : APSP_guarded[V, E]");
   // 3 self-distances + one edge; node 3 unreachable from 1 and 2.
   EXPECT_EQ(apsp.size(), 4u);
 }
 
 TEST_F(Stdlib, UndirectedEdgeAndReachable) {
-  engine_.Define("def E {(1,2) ; (3,2)}");
+  session_->Define("def E {(1,2) ; (3,2)}");
   EXPECT_EQ(Eval("UndirectedEdge[E]"),
             "{(1, 2); (2, 1); (2, 3); (3, 2)}");
   // Reachable is reflexive on the node set.
-  Relation reach = engine_.Query("def output : Reachable[E]");
+  Relation reach = session_->Query("def output : Reachable[E]");
   EXPECT_TRUE(reach.Contains(Tuple({Value::Int(1), Value::Int(1)})));
   EXPECT_TRUE(reach.Contains(Tuple({Value::Int(1), Value::Int(2)})));
   EXPECT_FALSE(reach.Contains(Tuple({Value::Int(1), Value::Int(3)})));
@@ -189,7 +191,7 @@ TEST_F(Stdlib, UndirectedEdgeAndReachable) {
 
 TEST_F(Stdlib, ConnectedComponents) {
   // Two components: {1,2,3} (via undirected edges) and {7,8}.
-  engine_.Define("def E {(1,2) ; (3,2) ; (7,8)}");
+  session_->Define("def E {(1,2) ; (3,2) ; (7,8)}");
   EXPECT_EQ(Eval("connected_component[E]"),
             "{(1, 1); (2, 1); (3, 1); (7, 7); (8, 7)}");
   // Distinct component labels = number of components.
@@ -197,13 +199,13 @@ TEST_F(Stdlib, ConnectedComponents) {
 }
 
 TEST_F(Stdlib, ConnectedComponentsSingletonAndCycle) {
-  engine_.Define("def E {(1,1) ; (5,6) ; (6,5)}");
+  session_->Define("def E {(1,1) ; (5,6) ; (6,5)}");
   EXPECT_EQ(Eval("connected_component[E]"), "{(1, 1); (5, 5); (6, 5)}");
 }
 
 TEST_F(Stdlib, PageRankOnTwoCycle) {
-  engine_.Define("def G {(1,2,1.0) ; (2,1,1.0)}");
-  Relation pr = engine_.Query("def output : PageRank[G]");
+  session_->Define("def G {(1,2,1.0) ; (2,1,1.0)}");
+  Relation pr = session_->Query("def output : PageRank[G]");
   ASSERT_EQ(pr.size(), 2u);
   for (const Tuple& t : pr.TuplesOfArity(2)) {
     EXPECT_NEAR(t[1].AsDouble(), 0.5, 1e-9);

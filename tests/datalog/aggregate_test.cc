@@ -318,11 +318,12 @@ Relation RunRel(const std::string& source, bool lower, int threads,
                 const std::map<std::string, std::vector<Tuple>>& facts,
                 LoweringStats* stats = nullptr) {
   Engine engine;
-  engine.options().lower_recursion = lower;
-  engine.options().num_threads = threads;
-  for (const auto& [name, tuples] : facts) engine.Insert(name, tuples);
-  Relation out = engine.Query(source);
-  if (stats) *stats = engine.last_lowering_stats();
+  auto session = engine.OpenSession();
+  session->options().lower_recursion = lower;
+  session->options().num_threads = threads;
+  for (const auto& [name, tuples] : facts) session->Insert(name, tuples);
+  Relation out = session->Query(source);
+  if (stats) *stats = session->last_lowering_stats();
   return out;
 }
 
@@ -426,10 +427,11 @@ TEST(RelAggregate, SumOverflowThrowsTypeOnBothPaths) {
       "def t(s) : s = sum[(x, v) : X(x, v)]\ndef output : t";
   for (bool lower : {false, true}) {
     Engine engine;
-    engine.options().lower_recursion = lower;
-    engine.Insert("X", big);
+    auto session = engine.OpenSession();
+    session->options().lower_recursion = lower;
+    session->Insert("X", big);
     try {
-      engine.Query(source);
+      session->Query(source);
       FAIL() << "expected kType (lower=" << lower << ")";
     } catch (const RelError& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kType) << "lower=" << lower;
@@ -451,9 +453,10 @@ TEST(RelAggregate, DemandTransformStaysCorrectWithAggregates) {
       "def output(y, d) : apsp(2, y, d)";
   Relation expected = RunRel(source, /*lower=*/false, 1, facts);
   Engine engine;
-  engine.options().demand_transform = true;
-  engine.Insert("E", WeightedGraph(8));
-  Relation got = engine.Query(source);
+  auto session = engine.OpenSession();
+  session->options().demand_transform = true;
+  session->Insert("E", WeightedGraph(8));
+  Relation got = session->Query(source);
   EXPECT_EQ(got.ToString(), expected.ToString());
 }
 

@@ -41,10 +41,11 @@ void ExpectRoundTrip(const Program& program, const std::string& label) {
 
   for (bool lower : {false, true}) {
     Engine engine;
-    engine.options().lower_recursion = lower;
-    engine.Define(rel_source);
+    auto session = engine.OpenSession();
+    session->options().lower_recursion = lower;
+    session->Define(rel_source);
     for (const std::string& pred : idb) {
-      Relation translated = engine.Query("def output : " + pred);
+      Relation translated = session->Query("def output : " + pred);
       const Relation& expected = native.at(pred);
       EXPECT_EQ(expected, translated)
           << label << ": '" << pred << "' diverges (lower_recursion="

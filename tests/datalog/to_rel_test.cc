@@ -20,9 +20,10 @@ void ExpectAgreement(const std::string& source, const std::string& pred) {
   Relation native = EvaluatePredicate(program, pred);
 
   Engine engine;
+  auto session = engine.OpenSession();
   std::string rel_source = ProgramToRel(program);
   Relation translated =
-      engine.Query(rel_source + "\ndef output : " + pred);
+      session->Query(rel_source + "\ndef output : " + pred);
   EXPECT_EQ(native, translated) << "translated program:\n" << rel_source;
 }
 
@@ -85,8 +86,9 @@ TEST(ToRel, RandomGraphClosureAgrees) {
 
     Relation native = EvaluatePredicate(program, "tc");
     Engine engine;
+    auto session = engine.OpenSession();
     Relation translated =
-        engine.Query(ProgramToRel(program) + "\ndef output : tc");
+        session->Query(ProgramToRel(program) + "\ndef output : tc");
     EXPECT_EQ(native, translated) << "seed " << seed;
   }
 }

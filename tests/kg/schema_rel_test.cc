@@ -39,7 +39,7 @@ TEST_F(SchemaRel, GeneratedSourceParsesAndLists) {
 TEST_F(SchemaRel, ConformingTransactionCommits) {
   engine_.Insert("ProductPrice", {Tuple({Product("P1"), I(10)})});
   EXPECT_NO_THROW(engine_.CheckConstraints());
-  TxnResult txn = engine_.Exec(
+  TxnResult txn = engine_.OpenSession()->Exec(
       "def insert(:OrderProductQuantity, o, p, q) :\n"
       "  o = \"O1\" and p = \"P1\" and q = 2");
   EXPECT_EQ(txn.inserted, 1u);
@@ -50,8 +50,8 @@ TEST_F(SchemaRel, FunctionalDependencyEnforcedOnEngine) {
   // A second price for P1 violates the generated FD constraint and the
   // transaction rolls back.
   EXPECT_THROW(
-      engine_.Exec("def insert(:ProductPrice, p, x) :\n"
-                   "  ProductPrice(p, _) and x = 99"),
+      engine_.OpenSession()->Exec("def insert(:ProductPrice, p, x) :\n"
+                                  "  ProductPrice(p, _) and x = 99"),
       ConstraintViolation);
   EXPECT_EQ(engine_.Base("ProductPrice").size(), 1u);
 }

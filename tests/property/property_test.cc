@@ -11,7 +11,6 @@
 #include "benchutil/reference.h"
 #include "core/engine.h"
 #include "datalog/eval.h"
-#include "joins/hash_join.h"
 #include "joins/leapfrog.h"
 #include "kg/gnf.h"
 
@@ -37,8 +36,9 @@ TEST_P(ClosureProperty, RelEqualsDatalogEqualsReference) {
 
   // Rel engine (through the second-order stdlib TC).
   Engine engine;
-  engine.Insert("E", edges);
-  Relation rel_tc = engine.Query("def output : TC[E]");
+  auto session = engine.OpenSession();
+  session->Insert("E", edges);
+  Relation rel_tc = session->Query("def output : TC[E]");
 
   // Baseline Datalog engine.
   datalog::Program program = datalog::ParseDatalog(
@@ -78,10 +78,11 @@ TEST_P(ApspProperty, BothFormulationsMatchBfs) {
   std::vector<Tuple> nodes = benchutil::NodeSet(param.n);
 
   Engine engine;
-  engine.Insert("E", edges);
-  engine.Insert("V", nodes);
-  Relation apsp = engine.Query("def output : APSP[V, E]");
-  Relation guarded = engine.Query("def output : APSP_guarded[V, E]");
+  auto session = engine.OpenSession();
+  session->Insert("E", edges);
+  session->Insert("V", nodes);
+  Relation apsp = session->Query("def output : APSP[V, E]");
+  Relation guarded = session->Query("def output : APSP_guarded[V, E]");
 
   auto ref = benchutil::ApspRef(param.n, edges);
 
@@ -136,9 +137,10 @@ TEST_P(MatMulProperty, RelMatchesReference) {
   std::vector<Tuple> a = benchutil::SparseMatrix(8, 8, 0.4, seed);
   std::vector<Tuple> b = benchutil::SparseMatrix(8, 8, 0.4, seed + 100);
   Engine engine;
-  engine.Insert("A", a);
-  engine.Insert("B", b);
-  Relation rel_product = engine.Query("def output : MatrixMult[A, B]");
+  auto session = engine.OpenSession();
+  session->Insert("A", a);
+  session->Insert("B", b);
+  Relation rel_product = session->Query("def output : MatrixMult[A, B]");
   std::vector<Tuple> ref = benchutil::MatMulRef(a, b);
   ASSERT_EQ(rel_product.size(), ref.size());
   for (const Tuple& t : ref) {
@@ -162,10 +164,11 @@ TEST_P(PermProperty, CountsFactorial) {
   }
   tuple += ")";
   Engine engine;
-  engine.Define("def R {" + tuple + "}\n"
-                "def Perm(x...) : R(x...)\n"
-                "def Perm(x...,a,y...,b,z...) : Perm(x...,b,y...,a,z...)");
-  Relation perms = engine.Query("def output : Perm");
+  auto session = engine.OpenSession();
+  session->Define("def R {" + tuple + "}\n"
+                  "def Perm(x...) : R(x...)\n"
+                  "def Perm(x...,a,y...,b,z...) : Perm(x...,b,y...,a,z...)");
+  Relation perms = session->Query("def output : Perm");
   int64_t factorial = 1;
   for (int i = 2; i <= n; ++i) factorial *= i;
   EXPECT_EQ(perms.size(), static_cast<size_t>(factorial));
@@ -193,14 +196,17 @@ TEST_P(ReduceProperty, SumIndependentOfInsertionOrder) {
   }
   backward.assign(forward.rbegin(), forward.rend());
 
-  Engine e1, e2;
-  e1.Insert("R", forward);
-  e2.Insert("R", backward);
-  EXPECT_EQ(e1.Eval("sum[R]").ToString(), "{(" + std::to_string(expected) + ")}");
-  EXPECT_EQ(e1.Eval("sum[R]"), e2.Eval("sum[R]"));
-  EXPECT_EQ(e1.Eval("min[R]"), e2.Eval("min[R]"));
-  EXPECT_EQ(e1.Eval("max[R]"), e2.Eval("max[R]"));
-  EXPECT_EQ(e1.Eval("count[R]").ToString(), "{(20)}");
+  Engine engine1, engine2;
+  auto e1 = engine1.OpenSession();
+  auto e2 = engine2.OpenSession();
+  e1->Insert("R", forward);
+  e2->Insert("R", backward);
+  EXPECT_EQ(e1->Eval("sum[R]").ToString(),
+            "{(" + std::to_string(expected) + ")}");
+  EXPECT_EQ(e1->Eval("sum[R]"), e2->Eval("sum[R]"));
+  EXPECT_EQ(e1->Eval("min[R]"), e2->Eval("min[R]"));
+  EXPECT_EQ(e1->Eval("max[R]"), e2->Eval("max[R]"));
+  EXPECT_EQ(e1->Eval("count[R]").ToString(), "{(20)}");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReduceProperty,
@@ -219,7 +225,7 @@ TEST_P(JoinProperty, HashEqualsLeapfrog) {
   std::vector<joins::AtomSpec> atoms = {{&r_sorted, {0, 1}},
                                         {&s_sorted, {1, 2}}};
   EXPECT_EQ(joins::LeapfrogJoinCount(3, atoms),
-            joins::HashJoin(r, {1}, s, {0}).size());
+            benchutil::HashJoin(r, {1}, s, {0}).size());
   EXPECT_EQ(joins::CountTrianglesLeapfrog(r),
             benchutil::CountTrianglesRef(r));
 }
@@ -234,10 +240,11 @@ class GroupSumProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(GroupSumProperty, RelMatchesReference) {
   benchutil::OrdersWorkload w = benchutil::MakeOrders(20, 12, 3, 3, GetParam());
   Engine engine;
-  engine.Insert("PaymentOrder", w.payment_order);
-  engine.Insert("PaymentAmount", w.payment_amount);
-  engine.Insert("OrderProductQuantity", w.order_product_quantity);
-  Relation grouped = engine.Query(
+  auto session = engine.OpenSession();
+  session->Insert("PaymentOrder", w.payment_order);
+  session->Insert("PaymentAmount", w.payment_amount);
+  session->Insert("OrderProductQuantity", w.order_product_quantity);
+  Relation grouped = session->Query(
       "def Ord(x) : OrderProductQuantity(x,_,_)\n"
       "def OPA(x,y,z) : PaymentOrder(y,x) and PaymentAmount(y,z)\n"
       "def Paid[x in Ord] : sum[OPA[x]] <++ 0\n"
@@ -317,27 +324,28 @@ TEST_P(AlgebraProperty, SetLawsHold) {
   std::vector<Tuple> a = benchutil::RandomGraph(10, 25, seed);
   std::vector<Tuple> b = benchutil::RandomGraph(10, 25, seed + 1000);
   Engine engine;
-  engine.Insert("A", a);
-  engine.Insert("B", b);
+  auto session = engine.OpenSession();
+  session->Insert("A", a);
+  session->Insert("B", b);
 
-  size_t a_size = engine.Eval("A").size();
-  size_t b_size = engine.Eval("B").size();
-  size_t union_size = engine.Eval("Union[A, B]").size();
-  size_t inter_size = engine.Eval("Intersect[A, B]").size();
-  size_t minus_size = engine.Eval("Minus[A, B]").size();
+  size_t a_size = session->Eval("A").size();
+  size_t b_size = session->Eval("B").size();
+  size_t union_size = session->Eval("Union[A, B]").size();
+  size_t inter_size = session->Eval("Intersect[A, B]").size();
+  size_t minus_size = session->Eval("Minus[A, B]").size();
 
   // |A ∪ B| = |A| + |B| - |A ∩ B| and |A \ B| = |A| - |A ∩ B|.
   EXPECT_EQ(union_size, a_size + b_size - inter_size);
   EXPECT_EQ(minus_size, a_size - inter_size);
   // Product cardinality multiplies.
-  EXPECT_EQ(engine.Eval("Product[A, B]").size(), a_size * b_size);
+  EXPECT_EQ(session->Eval("Product[A, B]").size(), a_size * b_size);
   // Idempotence.
-  EXPECT_EQ(engine.Eval("Union[A, A]").size(), a_size);
-  EXPECT_EQ(engine.Eval("Intersect[A, A]").size(), a_size);
-  EXPECT_EQ(engine.Eval("Minus[A, A]").size(), 0u);
+  EXPECT_EQ(session->Eval("Union[A, A]").size(), a_size);
+  EXPECT_EQ(session->Eval("Intersect[A, A]").size(), a_size);
+  EXPECT_EQ(session->Eval("Minus[A, A]").size(), 0u);
   // Commutativity of union/intersection.
-  EXPECT_EQ(engine.Eval("Union[A, B]"), engine.Eval("Union[B, A]"));
-  EXPECT_EQ(engine.Eval("Intersect[A, B]"), engine.Eval("Intersect[B, A]"));
+  EXPECT_EQ(session->Eval("Union[A, B]"), session->Eval("Union[B, A]"));
+  EXPECT_EQ(session->Eval("Intersect[A, B]"), session->Eval("Intersect[B, A]"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlgebraProperty,
@@ -351,8 +359,9 @@ TEST_P(PageRankProperty, MassConservedAndMatchesReference) {
   int n = GetParam();
   std::vector<Tuple> g = benchutil::StochasticMatrix(n, 2, 77);
   Engine engine;
-  engine.Insert("G", g);
-  Relation pr = engine.Query("def output : PageRank[G]");
+  auto session = engine.OpenSession();
+  session->Insert("G", g);
+  Relation pr = session->Query("def output : PageRank[G]");
   // The relational vector is sparse: nodes with no inbound links have no
   // entry (a relation stores no explicit zeros).
   ASSERT_GT(pr.size(), 0u);
@@ -469,20 +478,21 @@ TEST_P(LoweringProperty, LoweredEqualsInterpAcrossThreadCounts) {
   std::map<std::string, std::string> reference_rendering;
   for (const Config& config : configs) {
     Engine engine;
-    engine.options().lower_recursion = config.lower;
-    engine.options().num_threads = config.threads;
-    engine.Insert("edge", edges);
+    auto session = engine.OpenSession();
+    session->options().lower_recursion = config.lower;
+    session->options().num_threads = config.threads;
+    session->Insert("edge", edges);
     for (const std::string& pred : gen.preds) {
-      Relation got = engine.Query(gen.source + "def output : " + pred);
+      Relation got = session->Query(gen.source + "def output : " + pred);
       if (!config.lower) {
-        EXPECT_EQ(engine.last_lowering_stats().components_lowered, 0);
+        EXPECT_EQ(session->last_lowering_stats().components_lowered, 0);
         reference[pred] = got;
         reference_rendering[pred] = got.ToString();
         continue;
       }
       // Every generated component is in the fragment: the lowering must
       // actually fire, and agree byte-for-byte.
-      EXPECT_GE(engine.last_lowering_stats().components_lowered, 1)
+      EXPECT_GE(session->last_lowering_stats().components_lowered, 1)
           << "lowering did not fire for:\n" << gen.source;
       EXPECT_EQ(reference[pred], got)
           << "threads=" << config.threads << " pred='" << pred
@@ -566,14 +576,16 @@ TEST_P(DemandProperty, DemandedQueriesEqualFullEvaluation) {
       }
       std::string query = demand_gen::QueryFor(pred, pattern);
 
-      Engine full;
-      full.Insert("edge", edges);
-      Relation expected = full.Query(gen.source + query);
+      Engine full_engine;
+      auto full = full_engine.OpenSession();
+      full->Insert("edge", edges);
+      Relation expected = full->Query(gen.source + query);
 
-      Engine demand;
-      demand.options().demand_transform = true;
-      demand.Insert("edge", edges);
-      Relation got = demand.Query(gen.source + query);
+      Engine demand_engine;
+      auto demand = demand_engine.OpenSession();
+      demand->options().demand_transform = true;
+      demand->Insert("edge", edges);
+      Relation got = demand->Query(gen.source + query);
 
       EXPECT_EQ(expected, got)
           << "demand diverges for query '" << query << "' over:\n"
@@ -581,12 +593,12 @@ TEST_P(DemandProperty, DemandedQueriesEqualFullEvaluation) {
       EXPECT_EQ(expected.ToString(), got.ToString())
           << "rendering not byte-identical for '" << query << "'";
       if (any_bound && is_recursive(pred)) {
-        EXPECT_GE(demand.last_lowering_stats().components_demanded, 1)
+        EXPECT_GE(demand->last_lowering_stats().components_demanded, 1)
             << "demand did not fire for '" << query << "' over:\n"
             << gen.source;
       }
       if (!any_bound) {
-        EXPECT_EQ(demand.last_lowering_stats().components_demanded, 0)
+        EXPECT_EQ(demand->last_lowering_stats().components_demanded, 0)
             << "all-free pattern must not demand-evaluate: '" << query << "'";
       }
     }

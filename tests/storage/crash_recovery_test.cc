@@ -111,8 +111,9 @@ struct Fingerprint {
 
 Fingerprint FingerprintOf(const Engine& engine) {
   Fingerprint fp;
-  for (const std::string& name : engine.db().Names()) {
-    fp.db += name + "=" + engine.db().Get(name).ToString() + "\n";
+  std::shared_ptr<const Snapshot> head = engine.SnapshotNow();
+  for (const std::string& name : head->db->Names()) {
+    fp.db += name + "=" + head->db->Get(name).ToString() + "\n";
   }
   fp.rules = engine.installed_rules();
   return fp;
@@ -130,7 +131,7 @@ size_t RunWorkload(Engine* engine, std::vector<Fingerprint>* oracle) {
     try {
       switch (action.kind) {
         case Action::Kind::kExec:
-          engine->Exec(action.source);
+          engine->OpenSession()->Exec(action.source);
           break;
         case Action::Kind::kBulkInsert:
           engine->Insert(action.relation, action.tuples);
@@ -148,7 +149,7 @@ size_t RunWorkload(Engine* engine, std::vector<Fingerprint>* oracle) {
           // instead — the outer catch handles that; either way nothing may
           // be applied.
           try {
-            engine->Exec(action.source);
+            engine->OpenSession()->Exec(action.source);
             ADD_FAILURE() << "negative marker was accepted";
           } catch (const ConstraintViolation&) {
           }
@@ -196,7 +197,7 @@ int RecoverAndCheck(const std::map<std::string, std::string>& image,
   engine.CheckConstraints();
 
   // The store is live after recovery: one more commit, one more recovery.
-  engine.Exec("def insert(:marker, x) : x = 99");
+  engine.OpenSession()->Exec("def insert(:marker, x) : x = 99");
   Engine again;
   RecoveryReport second = again.AttachStorage("db", {}, fs);
   EXPECT_TRUE(second.status.ok()) << context;

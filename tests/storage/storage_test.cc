@@ -412,10 +412,11 @@ TEST(Store, FreshAttachCommitRecoverElsewhere) {
     ASSERT_TRUE(report.status.ok()) << report.status.ToString();
     EXPECT_EQ(report.recovered_txns, 0u);
     engine.Define("def doubled(x) : exists((y) | Num(y) and x = y + y)");
-    TxnResult txn = engine.Exec("def insert(:Num, x) : x = 1 or x = 2");
+    auto session = engine.OpenSession();
+    TxnResult txn = session->Exec("def insert(:Num, x) : x = 1 or x = 2");
     EXPECT_GT(txn.txn_id, 0u);
-    engine.Exec("def delete(:Num, x) : Num(x) and x = 1\n"
-                "def insert(:Num, x) : x = 3");
+    session->Exec("def delete(:Num, x) : Num(x) and x = 1\n"
+                  "def insert(:Num, x) : x = 3");
     // No Checkpoint: recovery must reconstruct purely from the WAL.
   }
   Engine recovered;
@@ -425,7 +426,8 @@ TEST(Store, FreshAttachCommitRecoverElsewhere) {
   EXPECT_FALSE(report.wal_truncated);
   EXPECT_EQ(recovered.Base("Num").ToString(), "{(2); (3)}");
   // The model came back too: Define'd rules answer queries again.
-  EXPECT_EQ(recovered.Query("def output : doubled").ToString(), "{(4); (6)}");
+  EXPECT_EQ(recovered.OpenSession()->Query("def output : doubled").ToString(),
+            "{(4); (6)}");
 }
 
 TEST(Store, CheckpointRotatesAndRecoversFromSnapshot) {
@@ -433,9 +435,10 @@ TEST(Store, CheckpointRotatesAndRecoversFromSnapshot) {
   {
     Engine engine;
     ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
-    engine.Exec("def insert(:R, x) : x = 1 or x = 2 or x = 3");
+    auto session = engine.OpenSession();
+    session->Exec("def insert(:R, x) : x = 1 or x = 2 or x = 3");
     ASSERT_TRUE(engine.Checkpoint().ok());
-    engine.Exec("def insert(:R, x) : x = 4");  // lands in the new epoch's WAL
+    session->Exec("def insert(:R, x) : x = 4");  // lands in the new epoch's WAL
   }
   ASSERT_TRUE(fs->Exists("db/snap-1"));
   Engine recovered;
@@ -452,12 +455,12 @@ TEST(Store, IntegrityConstraintsSurviveRecovery) {
     Engine engine;
     ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
     engine.Define("ic positive(x) requires Num(x) implies x > 0");
-    engine.Exec("def insert(:Num, x) : x = 5");
+    engine.OpenSession()->Exec("def insert(:Num, x) : x = 5");
   }
   Engine recovered;
   ASSERT_TRUE(recovered.AttachStorage("db", {}, fs).status.ok());
   recovered.CheckConstraints();  // recovered state satisfies recovered ICs
-  EXPECT_THROW(recovered.Exec("def insert(:Num, x) : x = 0 - 7"),
+  EXPECT_THROW(recovered.OpenSession()->Exec("def insert(:Num, x) : x = 0 - 7"),
                ConstraintViolation);
   EXPECT_EQ(recovered.Base("Num").ToString(), "{(5)}");
 }
@@ -467,8 +470,9 @@ TEST(Store, TornWalTailDegradesToReportNotThrow) {
   {
     Engine engine;
     ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
-    engine.Exec("def insert(:R, x) : x = 1");
-    engine.Exec("def insert(:R, x) : x = 2");
+    auto session = engine.OpenSession();
+    session->Exec("def insert(:R, x) : x = 1");
+    session->Exec("def insert(:R, x) : x = 2");
   }
   // Tear bytes off the WAL tail by hand.
   auto files = fs->FilesAsIs();
@@ -485,7 +489,7 @@ TEST(Store, TornWalTailDegradesToReportNotThrow) {
   EXPECT_NE(report.detail.find("truncated"), std::string::npos);
   EXPECT_EQ(recovered.Base("R").ToString(), "{(1)}");
   // The trimmed WAL accepts new commits, and they survive the next recovery.
-  recovered.Exec("def insert(:R, x) : x = 9");
+  recovered.OpenSession()->Exec("def insert(:R, x) : x = 9");
   Engine again;
   ASSERT_TRUE(again.AttachStorage("db", {}, damaged).status.ok());
   EXPECT_EQ(again.Base("R").ToString(), "{(1); (9)}");
@@ -496,9 +500,10 @@ TEST(Store, CorruptSnapshotFallsBackOneEpoch) {
   {
     Engine engine;
     ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
-    engine.Exec("def insert(:R, x) : x = 1");
+    auto session = engine.OpenSession();
+    session->Exec("def insert(:R, x) : x = 1");
     ASSERT_TRUE(engine.Checkpoint().ok());
-    engine.Exec("def insert(:R, x) : x = 2");
+    session->Exec("def insert(:R, x) : x = 2");
     ASSERT_TRUE(engine.Checkpoint().ok());
   }
   // Corrupt the newest snapshot after the fact; the previous epoch's
@@ -523,14 +528,15 @@ TEST(Store, WalAppendFailureRollsBackAndSurfacesKIo) {
   auto fs = std::make_shared<MemFileSystem>();
   Engine engine;
   ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
-  engine.Exec("def insert(:R, x) : x = 1");
+  auto session = engine.OpenSession();
+  session->Exec("def insert(:R, x) : x = 1");
 
   FaultPlan plan;
   plan.kind = FaultPlan::Kind::kFailWrite;
   plan.at_write = 1;  // next append dies
   fs->SetFault(plan);
   try {
-    engine.Exec("def insert(:R, x) : x = 2");
+    session->Exec("def insert(:R, x) : x = 2");
     FAIL() << "expected kIo";
   } catch (const RelError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kIo);
@@ -544,7 +550,8 @@ TEST(Store, FailedCheckpointKeepsPreviousEpoch) {
   auto fs = std::make_shared<MemFileSystem>();
   Engine engine;
   ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
-  engine.Exec("def insert(:R, x) : x = 1");
+  auto session = engine.OpenSession();
+  session->Exec("def insert(:R, x) : x = 1");
 
   // Bit-flip the snapshot as it is written: read-back verification must
   // reject it and keep the old epoch serving.
@@ -561,7 +568,7 @@ TEST(Store, FailedCheckpointKeepsPreviousEpoch) {
   EXPECT_FALSE(fs->Exists("db/snap-tmp"));
 
   // Still fully functional on the old epoch, and a later checkpoint works.
-  engine.Exec("def insert(:R, x) : x = 2");
+  session->Exec("def insert(:R, x) : x = 2");
   ASSERT_TRUE(engine.Checkpoint().ok());
   Engine recovered;
   ASSERT_TRUE(recovered.AttachStorage("db", {}, fs).status.ok());
@@ -574,8 +581,9 @@ TEST(Store, GroupCommitBuffersSyncs) {
   opts.group_commit = 3;
   Engine engine;
   ASSERT_TRUE(engine.AttachStorage("db", opts, fs).status.ok());
-  engine.Exec("def insert(:R, x) : x = 1");
-  engine.Exec("def insert(:R, x) : x = 2");
+  auto session = engine.OpenSession();
+  session->Exec("def insert(:R, x) : x = 1");
+  session->Exec("def insert(:R, x) : x = 2");
   // Two commits: acknowledged, appended, but not yet synced.
   EXPECT_LT(fs->FilesSynced()["db/wal-0"].size(),
             fs->FilesAsIs()["db/wal-0"].size());
@@ -587,11 +595,11 @@ TEST(Store, GroupCommitBuffersSyncs) {
   ASSERT_TRUE(lost.status.ok());
   EXPECT_EQ(lost.replayed_txns, 0u);
   // The third commit crosses the group boundary and syncs all three.
-  engine.Exec("def insert(:R, x) : x = 3");
+  session->Exec("def insert(:R, x) : x = 3");
   EXPECT_EQ(fs->FilesSynced()["db/wal-0"].size(),
             fs->FilesAsIs()["db/wal-0"].size());
   // FlushWal syncs an incomplete group on demand.
-  engine.Exec("def insert(:R, x) : x = 4");
+  session->Exec("def insert(:R, x) : x = 4");
   EXPECT_LT(fs->FilesSynced()["db/wal-0"].size(),
             fs->FilesAsIs()["db/wal-0"].size());
   ASSERT_TRUE(engine.FlushWal().ok());
@@ -619,12 +627,13 @@ TEST(Store, PreAttachDefinesAreLoggedOnAttach) {
     Engine engine;
     engine.Define("def two(x) : x = 2");  // before any storage exists
     ASSERT_TRUE(engine.AttachStorage("db", {}, fs).status.ok());
-    engine.Exec("def insert(:R, x) : two(x)");
+    engine.OpenSession()->Exec("def insert(:R, x) : two(x)");
   }
   Engine recovered;
   ASSERT_TRUE(recovered.AttachStorage("db", {}, fs).status.ok());
   EXPECT_EQ(recovered.Base("R").ToString(), "{(2)}");
-  EXPECT_EQ(recovered.Query("def output : two").ToString(), "{(2)}");
+  EXPECT_EQ(recovered.OpenSession()->Query("def output : two").ToString(),
+            "{(2)}");
 }
 
 TEST(Store, SecondAttachIsRejected) {
@@ -646,23 +655,25 @@ TEST(Store, RecoveryReplacesDatabaseUnderDemandTransform) {
     writer.Define(
         "def tc(x, y) : edge(x, y)\n"
         "def tc(x, z) : exists((y) | edge(x, y) and tc(y, z))");
-    writer.Exec("def insert(:edge, x, y) : (x = 1 and y = 2) or "
-                "(x = 2 and y = 3)");
+    writer.OpenSession()->Exec("def insert(:edge, x, y) : (x = 1 and y = 2) or "
+                               "(x = 2 and y = 3)");
   }
   Engine reader;
-  reader.options().demand_transform = true;
-  // Warm the (per-transaction) demand path on unrelated pre-attach state.
-  reader.Define(
+  auto session = reader.OpenSession();
+  session->options().demand_transform = true;
+  // Warm the session's demand cache on unrelated pre-attach state.
+  session->Define(
       "def tc(x, y) : edge(x, y)\n"
       "def tc(x, z) : exists((y) | edge(x, y) and tc(y, z))");
-  reader.Insert("edge", {Tuple({I(7), I(8)})});
-  EXPECT_EQ(reader.Query("def output(y) : tc(7, y)").ToString(), "{(8)}");
+  session->Insert("edge", {Tuple({I(7), I(8)})});
+  EXPECT_EQ(session->Query("def output(y) : tc(7, y)").ToString(), "{(8)}");
   // This engine was not fresh, so attach merges model sources; the database
   // itself is REPLACED by the recovered image.
   ASSERT_TRUE(reader.AttachStorage("db", {}, fs).status.ok());
-  EXPECT_EQ(reader.Query("def output(y) : tc(1, y)").ToString(),
+  session->Refresh();
+  EXPECT_EQ(session->Query("def output(y) : tc(1, y)").ToString(),
             "{(2); (3)}");
-  EXPECT_EQ(reader.Query("def output(y) : tc(7, y)").size(), 0u)
+  EXPECT_EQ(session->Query("def output(y) : tc(7, y)").size(), 0u)
       << "stale pre-recovery extent leaked through the demand memo";
 }
 
